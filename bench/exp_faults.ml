@@ -3,20 +3,26 @@
 
    Workload: CS1 is deliberately under-debloated (a tiny fuzz budget) so
    a large fraction of ground-truth reads miss locally and travel the
-   runtime's remote-fetch path — retry/backoff, circuit breaker, CRC
-   verification — while a deterministic fault plan injects transient
-   failures, timeouts, and corrupted payloads at increasing rates.  For
+   runtime's one miss path: a loopback chunk server over the source file
+   (digested on the first miss, each chunk read on its first fetch) and
+   every miss is a store-client exchange — retry with
+   backoff, circuit breaker, per-chunk digest verification — while a
+   deterministic fault plan injects transient failures, timeouts, short
+   reads and corrupted chunks at increasing rates.  The client has no
+   chunk cache, so every miss is one exchange the plan can hit.  For
    every transient-only row the runtime must serve 100% of the
    ground-truth reads (the §VI contract, given a sufficient retry
    budget); a permanent-fault row shows reads degrading to structured
-   misses — never a crash — with every path accounted in the stats.
-   Results land in artifacts/BENCH_faults.json. *)
+   misses — never a crash — with the client's breaker left open.  The
+   recovery columns come from the store client's stats.  Results land
+   in artifacts/BENCH_faults.json. *)
 
 open Kondo_dataarray
 open Kondo_workload
 open Kondo_container
 open Kondo_core
 open Kondo_faults
+open Kondo_store
 open Exp_common
 
 let dst = "/app/data.kh5"
@@ -49,10 +55,10 @@ type row = {
   served : int;
   total : int;
   degraded : int;
-  retries : int;
-  breaker_trips : int;
-  corrupt_fetches : int;
-  remote_fetches : int;
+  store_fetches : int;
+  client : Client.stats;
+  breaker : Breaker.state;
+  boot_s : float;
   wall_s : float;
 }
 
@@ -68,7 +74,15 @@ let sweep_row p image ~label ~plan_spec =
   let dir = Filename.temp_file "exp_faults_rt" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let rt = Runtime.boot ~remote:true ~faults:plan ~retry ~image ~dir () in
+  (* the boot opens and checks the source file; the first miss digests it *)
+  let t0 = now () in
+  let client, store =
+    match Source.of_image ~retry ~faults:plan image with
+    | Ok r -> r
+    | Error msg -> failwith ("exp_faults: " ^ msg)
+  in
+  let rt = Runtime.boot ~store ~image ~dir () in
+  let boot_s = now () -. t0 in
   let truth = Program.ground_truth p in
   let served = ref 0 and degraded = ref 0 and total = ref 0 in
   let t0 = now () in
@@ -81,15 +95,16 @@ let sweep_row p image ~label ~plan_spec =
   let wall_s = now () -. t0 in
   let s = Runtime.stats rt in
   Runtime.shutdown rt;
+  Client.close client;
   { label;
     plan_spec;
     served = !served;
     total = !total;
     degraded = !degraded;
-    retries = s.Runtime.retries;
-    breaker_trips = s.Runtime.breaker_trips;
-    corrupt_fetches = s.Runtime.corrupt_fetches;
-    remote_fetches = s.Runtime.remote_fetches;
+    store_fetches = s.Runtime.store_fetches;
+    client = Client.stats client;
+    breaker = Client.breaker_state client;
+    boot_s;
     wall_s }
 
 let json_path () =
@@ -121,23 +136,26 @@ let run () =
           transient_rows
         @ [ sweep_row p image ~label:"permanent r=1.0" ~plan_spec:"seed=11,permanent=1.0" ])
   in
-  Printf.printf "  %-18s %8s %8s %8s %8s %7s %8s %7s\n" "plan" "served" "degraded" "fetches"
-    "retries" "trips" "corrupt" "wall";
+  Printf.printf "  %-18s %8s %8s %8s %8s %8s %8s %9s %7s %7s\n" "plan" "served" "degraded"
+    "fetches" "requests" "retries" "corrupt" "breaker" "boot" "reads";
   List.iter
     (fun r ->
-      Printf.printf "  %-18s %7.1f%% %8d %8d %8d %7d %8d %6.2fs\n" r.label
+      Printf.printf "  %-18s %7.1f%% %8d %8d %8d %8d %8d %9s %6.3fs %6.2fs\n" r.label
         (100.0 *. float_of_int r.served /. float_of_int r.total)
-        r.degraded r.remote_fetches r.retries r.breaker_trips r.corrupt_fetches r.wall_s)
+        r.degraded r.store_fetches r.client.Client.requests r.client.Client.retries
+        r.client.Client.corrupt_fetches (Breaker.state_name r.breaker) r.boot_s r.wall_s)
     rows;
   (* the §VI contract: retryable-only fault plans with a sufficient
-     budget must not lose a single ground-truth read *)
-  List.iteri
-    (fun i r ->
-      ignore i;
+     budget must not lose a single ground-truth read, and permanent
+     faults leave the breaker open rather than hammering the source *)
+  List.iter
+    (fun r ->
       if r.label <> "permanent r=1.0" && r.served <> r.total then
         failwith
           (Printf.sprintf "exp_faults: %s served %d of %d under a retryable-only plan"
-             r.label r.served r.total))
+             r.label r.served r.total);
+      if r.label = "permanent r=1.0" && r.breaker = Breaker.Closed then
+        failwith "exp_faults: permanent faults left the breaker closed")
     rows;
   let open Report.Json in
   let doc =
@@ -148,8 +166,10 @@ let run () =
         ( "note",
           String
             "CS1 under-debloated (60-test budget) so most ground-truth reads go remote; \
-             retry budget 48 attempts, virtual deadline unbounded; every retryable-only \
-             row must serve 100%" );
+             misses served through a cacheless store client over a loopback server of the \
+             source file, checked at boot (boot_s) and digested on the first miss (inside \
+             wall_s); retry budget 48 attempts, virtual \
+             deadline unbounded; every retryable-only row must serve 100%" );
         ( "rows",
           List
             (List.map
@@ -163,10 +183,16 @@ let run () =
                        Float (float_of_int r.served /. float_of_int r.total) );
                      ("recall_served", Float (float_of_int r.served /. float_of_int r.total));
                      ("degraded_reads", Int r.degraded);
-                     ("remote_fetches", Int r.remote_fetches);
-                     ("retries", Int r.retries);
-                     ("breaker_trips", Int r.breaker_trips);
-                     ("corrupt_fetches", Int r.corrupt_fetches);
+                     ("store_fetches", Int r.store_fetches);
+                     ("client_requests", Int r.client.Client.requests);
+                     ("client_range_gets", Int r.client.Client.range_gets);
+                     ("client_fetched_chunks", Int r.client.Client.fetched_chunks);
+                     ("client_retries", Int r.client.Client.retries);
+                     ("client_corrupt_fetches", Int r.client.Client.corrupt_fetches);
+                     ( "client_breaker_rejections",
+                       Int r.client.Client.breaker_rejections );
+                     ("breaker_state", String (Breaker.state_name r.breaker));
+                     ("boot_s", Float r.boot_s);
                      ("wall_s", Float r.wall_s) ])
                rows) );
         ("phase_timings", phases_json ph) ]

@@ -56,25 +56,6 @@ type row = {
   wall_s : float;
 }
 
-let store_source_for client =
-  let manifests = Hashtbl.create 4 in
-  let manifest_for dataset =
-    match Hashtbl.find_opt manifests dataset with
-    | Some m -> Ok m
-    | None -> (
-      match Client.manifest client ~name:("#" ^ dataset) with
-      | Ok m ->
-        Hashtbl.add manifests dataset m;
-        Ok m
-      | Error _ as e -> e)
-  in
-  { Runtime.source_name = "loopback";
-    store_fetch =
-      (fun ~dst:_ ~dataset ~offset ~length ->
-        match manifest_for dataset with
-        | Error e -> Error e
-        | Ok m -> Client.read_bytes client m ~offset ~length) }
-
 let sweep_row p image ~src ~cache_bytes =
   let server = Server.create ~cache_bytes ~store:(Block_store.create ()) () in
   ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
@@ -82,7 +63,7 @@ let sweep_row p image ~src ~cache_bytes =
   let dir = Filename.temp_file "exp_store_rt" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let rt = Runtime.boot ~store:(store_source_for client) ~image ~dir () in
+  let rt = Runtime.boot ~store:(Source.of_client ~image client) ~image ~dir () in
   let truth = Program.ground_truth p in
   let served = ref 0 and total = ref 0 in
   let t0 = now () in

@@ -184,9 +184,10 @@ let remote_arg =
     & opt (some string) None
     & info [ "remote" ] ~docv:"SRC"
         ~doc:
-          "Serve carved-away offsets from this source file (the \"remote server\" copy of \
-           paper SecVI) through the fault-tolerant fetch path: retry with capped \
-           exponential backoff, a per-mount circuit breaker, and CRC-verified payloads. \
+          "Serve carved-away offsets from this dense source file (the \"remote server\" \
+           copy of paper SecVI). The file is served chunk by chunk, on demand, by an \
+           in-process chunk server and read through the same store client as $(b,--remote-store): retry with \
+           capped exponential backoff, a circuit breaker, and digest-verified chunks. \
            Reads the remote cannot serve degrade to structured misses instead of \
            aborting the run.")
 
@@ -195,14 +196,16 @@ let remote_retries_arg =
     value
     & opt int 3
     & info [ "remote-retries" ] ~docv:"N"
-        ~doc:"Maximum retries per remote fetch (so N+1 attempts in total).")
+        ~doc:"Maximum retries per store or remote exchange (so N+1 attempts in total).")
 
 let remote_deadline_arg =
   Arg.(
     value
     & opt float 5000.0
     & info [ "remote-deadline-ms" ] ~docv:"MS"
-        ~doc:"Virtual time budget per remote fetch across attempts and backoff delays.")
+        ~doc:
+          "Virtual time budget per store or remote exchange across attempts and backoff \
+           delays.")
 
 let fault_plan_arg =
   Arg.(
@@ -210,11 +213,11 @@ let fault_plan_arg =
     & opt string "none"
     & info [ "fault-plan" ] ~docv:"PLAN"
         ~doc:
-          "Deterministic fault-injection plan for remote fetches (test drives), e.g. \
-           seed=7,transient=0.2,timeout=0.05,corrupt=0.1. Keys: seed, transient, \
-           timeout, timeout-cost-ms, short, corrupt, permanent; rates are per-call \
-           probabilities in [0,1]. The n-th decision at a call site is a pure function \
-           of (seed, site, n), so runs reproduce exactly.")
+          "Deterministic fault-injection plan for store and remote exchanges (test \
+           drives), e.g. seed=7,transient=0.2,timeout=0.05,corrupt=0.1. Keys: seed, \
+           transient, timeout, timeout-cost-ms, short, corrupt, permanent; rates are \
+           per-call probabilities in [0,1]. The n-th decision at a call site is a pure \
+           function of (seed, site, n), so runs reproduce exactly.")
 
 let parse_fault_plan s =
   match Kondo_faults.Fault_plan.of_string s with
@@ -232,8 +235,8 @@ let remote_store_arg =
           "Serve carved-away offsets from a kondo chunk server listening on this \
            Unix-domain socket (see $(b,kondo serve)). The store is tried ahead of \
            $(b,--remote); fetched chunks are verified against the manifest's content \
-           digests and cached client-side. Store failures fall back to $(b,--remote) \
-           when it is also set, else degrade.")
+           digests and cached client-side. Misses the store cannot serve fall back to \
+           $(b,--remote) when it is also set, else degrade.")
 
 let store_name_arg =
   Arg.(
@@ -250,7 +253,7 @@ let store_cache_arg =
     value
     & opt int (256 * 1024)
     & info [ "store-cache-bytes" ] ~docv:"BYTES"
-        ~doc:"Client-side chunk cache budget (default 256 KiB).")
+        ~doc:"Client-side chunk cache budget of each store or remote client (default 256 KiB).")
 
 let stats_json_arg =
   Arg.(
@@ -258,9 +261,10 @@ let stats_json_arg =
     & opt (some string) None
     & info [ "stats-json" ] ~docv:"FILE"
         ~doc:
-          "Write the runtime's statistics — plus the store client's counters when \
-           $(b,--remote-store) is set — to FILE as a JSON object (feed it to \
-           $(b,kondo report --runtime-stats)).")
+          "Write the runtime's statistics — plus the store client's counters \
+           (client_*, server_cache_*) when $(b,--remote-store) is set and the remote \
+           client's (remote_*) when $(b,--remote) is set — to FILE as a JSON object \
+           (feed it to $(b,kondo report --runtime-stats)).")
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -274,35 +278,32 @@ let read_whole_file path =
 let checksum_empty = Merkle.hash_bytes Bytes.empty
 let checksum_add acc v = Merkle.hash_pair acc (Int64.bits_of_float v)
 
-(* Build the runtime's store source from a chunk-server client: resolve
-   (and memoize) one manifest per dataset, then serve each miss with
-   [Client.read_bytes] over the dataset's logical data section. *)
-let store_source_of_client client ~socket ~store_name =
-  let manifests = Hashtbl.create 4 in
-  let manifest_for dataset =
-    match Hashtbl.find_opt manifests dataset with
-    | Some m -> Ok m
-    | None ->
-      let key =
-        if store_name = "" then "#" ^ dataset else store_name ^ "#" ^ dataset
-      in
-      (match Kondo_store.Client.manifest client ~name:key with
-      | Ok m ->
-        Hashtbl.add manifests dataset m;
-        Ok m
-      | Error _ as e -> e)
-  in
-  { Runtime.source_name = "unix:" ^ socket;
-    store_fetch =
-      (fun ~dst:_ ~dataset ~offset ~length ->
-        match manifest_for dataset with
-        | Error e -> Error e
-        | Ok m -> Kondo_store.Client.read_bytes client m ~offset ~length) }
+(* The counters of one store client, as [--stats-json] keys under
+   [prefix]. *)
+let client_fields prefix (cs : Kondo_store.Client.stats) =
+  List.map
+    (fun (k, v) -> (prefix ^ k, v))
+    [ ("requests", cs.Kondo_store.Client.requests);
+      ("range_gets", cs.Kondo_store.Client.range_gets);
+      ("fetched_chunks", cs.Kondo_store.Client.fetched_chunks);
+      ("fetched_bytes", cs.Kondo_store.Client.fetched_bytes);
+      ("corrupt_fetches", cs.Kondo_store.Client.corrupt_fetches);
+      ("retries", cs.Kondo_store.Client.retries);
+      ("breaker_rejections", cs.Kondo_store.Client.breaker_rejections);
+      ("cache_hits", cs.Kondo_store.Client.cache_hits) ]
+
+let print_client label (cs : Kondo_store.Client.stats) =
+  Printf.printf
+    "%s: %d fetched chunks over %d range GETs, %d corrupt, %d retries, %d breaker \
+     rejections, %d client cache hits\n"
+    label cs.Kondo_store.Client.fetched_chunks cs.Kondo_store.Client.range_gets
+    cs.Kondo_store.Client.corrupt_fetches cs.Kondo_store.Client.retries
+    cs.Kondo_store.Client.breaker_rejections cs.Kondo_store.Client.cache_hits
 
 (* Run the program's access plan through the hardened container runtime:
    local reads from [path], carved-away offsets served by the chunk
-   store and/or fetched from [src] under the retry/breaker machinery
-   (and any injected faults). *)
+   store and then by [src], both through store clients under the
+   retry/breaker machinery (and any injected faults). *)
 let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retries
     ~deadline_ms ~plan ~stats_json =
   let retry =
@@ -310,6 +311,7 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
       Kondo_faults.Retry.max_attempts = retries + 1;
       deadline_ms }
   in
+  let cache () = Kondo_store.Cache.create ~budget_bytes:store_cache () in
   let dst = "/data" in
   let spec =
     { Spec.empty with
@@ -317,49 +319,52 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
       data_deps = [ { Spec.src = Option.value src ~default:""; dst } ] }
   in
   let image = Image.build spec ~fetch:(fun _ -> read_whole_file path) in
+  let remote =
+    match src with
+    | None -> None
+    | Some _ -> (
+      match Kondo_store.Source.of_image ~retry ~faults:plan ~cache:(cache ()) image with
+      | Ok r -> Some r
+      | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 2)
+  in
+  let store =
+    Option.map
+      (fun socket ->
+        let conn =
+          try Kondo_store.Transport.unix_connect socket
+          with Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "cannot connect to store socket %s: %s\n" socket
+              (Unix.error_message e);
+            exit 2
+        in
+        let client = Kondo_store.Client.connect ~retry ~faults:plan ~cache:(cache ()) conn in
+        (client, Kondo_store.Source.of_client ~store_name ~image client))
+      remote_store
+  in
   let dir = Filename.temp_file "kondo_run" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let client, store =
-    match remote_store with
-    | None -> (None, None)
-    | Some socket ->
-      let conn =
-        try Kondo_store.Transport.unix_connect socket
-        with Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "cannot connect to store socket %s: %s\n" socket
-            (Unix.error_message e);
-          exit 2
-      in
-      let cache = Kondo_store.Cache.create ~budget_bytes:store_cache () in
-      let client = Kondo_store.Client.connect ~retry ~faults:plan ~cache conn in
-      (Some client, Some (store_source_of_client client ~socket ~store_name))
-  in
-  let rt = Runtime.boot ~remote:(src <> None) ?store ~faults:plan ~retry ~image ~dir () in
-  let degraded = ref 0 in
+  let source = Kondo_store.Source.first (List.filter_map (Option.map snd) [ store; remote ]) in
+  let rt = Runtime.boot ~store:source ~image ~dir () in
   let csum = ref checksum_empty in
   Program.iter_access p v (fun idx ->
       match Runtime.try_read_element rt ~dst ~dataset:p.Program.dataset idx with
       | Ok value -> csum := checksum_add !csum value
-      | Error (Runtime.Degraded _) -> incr degraded
+      | Error (Runtime.Degraded _) -> ()
       | Error exn -> raise exn);
   let s = Runtime.stats rt in
-  Printf.printf "read %d elements: %d local, %d store-served, %d remote-fetched, %d degraded\n"
+  Printf.printf "read %d elements: %d local, %d served on a miss (%d bytes), %d degraded\n"
     s.Runtime.reads
     (s.Runtime.reads - s.Runtime.misses)
-    s.Runtime.store_fetches s.Runtime.remote_fetches !degraded;
-  Printf.printf "remote: %d retries, %d breaker trips, %d corrupt payloads, %d bytes fetched\n"
-    s.Runtime.retries s.Runtime.breaker_trips s.Runtime.corrupt_fetches s.Runtime.remote_bytes;
-  let extra =
-    match client with
+    s.Runtime.store_fetches s.Runtime.store_bytes s.Runtime.degraded_reads;
+  let store_fields =
+    match store with
     | None -> []
-    | Some c ->
+    | Some (c, _) ->
       let cs = Kondo_store.Client.stats c in
-      Printf.printf
-        "store: %d fetched chunks over %d range GETs, %d corrupt, %d retries, %d client cache hits\n"
-        cs.Kondo_store.Client.fetched_chunks cs.Kondo_store.Client.range_gets
-        cs.Kondo_store.Client.corrupt_fetches cs.Kondo_store.Client.retries
-        cs.Kondo_store.Client.cache_hits;
+      print_client "store" cs;
       let server_counters =
         match Kondo_store.Client.stat c with
         | Ok i ->
@@ -371,30 +376,31 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
             ("server_cache_coalesced", i.Kondo_store.Proto.cache_coalesced) ]
         | Error _ -> []
       in
-      [ ("client_requests", cs.Kondo_store.Client.requests);
-        ("client_range_gets", cs.Kondo_store.Client.range_gets);
-        ("client_fetched_chunks", cs.Kondo_store.Client.fetched_chunks);
-        ("client_fetched_bytes", cs.Kondo_store.Client.fetched_bytes);
-        ("client_corrupt_fetches", cs.Kondo_store.Client.corrupt_fetches);
-        ("client_retries", cs.Kondo_store.Client.retries);
-        ("client_cache_hits", cs.Kondo_store.Client.cache_hits) ]
-      @ server_counters
+      client_fields "client_" cs @ server_counters
+  in
+  let remote_fields =
+    match remote with
+    | None -> []
+    | Some (c, _) ->
+      let cs = Kondo_store.Client.stats c in
+      print_client "remote" cs;
+      client_fields "remote_" cs
   in
   Printf.printf "value checksum: %016Lx\n" !csum;
-  if !degraded > 0 then
+  if s.Runtime.degraded_reads > 0 then
     Printf.printf "run completed with degraded reads — %d offsets unavailable locally and remotely\n"
-      !degraded
+      s.Runtime.degraded_reads
   else Printf.printf "run fully served\n";
   (match stats_json with
   | None -> ()
   | Some file ->
     let oc = open_out file in
-    output_string oc (Runtime.stats_to_json ~extra s);
+    output_string oc (Runtime.stats_to_json ~extra:(store_fields @ remote_fields) s);
     output_char oc '\n';
     close_out oc;
     Printf.printf "stats written to %s\n" file);
   Runtime.shutdown rt;
-  Option.iter Kondo_store.Client.close client
+  List.iter (fun (c, _) -> Kondo_store.Client.close c) (List.filter_map Fun.id [ store; remote ])
 
 let run_cmd =
   let run name n m params path remote retries deadline_ms fault_plan remote_store

@@ -79,9 +79,14 @@ let () =
      Printf.printf "exception     : Data_missing at index (%d,%d), byte offset %d — as §III specifies\n"
        m.Kondo_h5.File.index.(0) m.Kondo_h5.File.index.(1) m.Kondo_h5.File.offset);
   Runtime.shutdown rt;
-  let rt = Runtime.boot ~remote:true ~image:crippled ~dir () in
+  (* Alice's server: her source file, chunked behind a store client *)
+  let client, store =
+    match Kondo_store.Source.of_image crippled with Ok r -> r | Error e -> failwith e
+  in
+  let rt = Runtime.boot ~store ~image:crippled ~dir () in
   let v = Runtime.read_element rt ~dst:"/stencil/data.kh5" ~dataset:"data" [| 127; 127 |] in
   Printf.printf "remote fetch  : §VI fallback pulled the value (%g) from Alice's server; stats: %d miss, %d fetched\n"
-    v (Runtime.stats rt).Runtime.misses (Runtime.stats rt).Runtime.remote_fetches;
+    v (Runtime.stats rt).Runtime.misses (Runtime.stats rt).Runtime.store_fetches;
   Runtime.shutdown rt;
+  Kondo_store.Client.close client;
   Sys.remove data_src

@@ -5,57 +5,37 @@ module Kfile = Kondo_h5.File
 type stats = {
   mutable reads : int;
   mutable misses : int;
-  mutable remote_fetches : int;
-  mutable remote_bytes : int;
   mutable store_fetches : int;
   mutable store_bytes : int;
-  mutable store_fallbacks : int;
-  mutable retries : int;
-  mutable breaker_trips : int;
   mutable degraded_reads : int;
-  mutable corrupt_fetches : int;
 }
 
 let stats_fields s =
   [ ("reads", s.reads);
     ("misses", s.misses);
-    ("remote_fetches", s.remote_fetches);
-    ("remote_bytes", s.remote_bytes);
     ("store_fetches", s.store_fetches);
     ("store_bytes", s.store_bytes);
-    ("store_fallbacks", s.store_fallbacks);
-    ("retries", s.retries);
-    ("breaker_trips", s.breaker_trips);
-    ("degraded_reads", s.degraded_reads);
-    ("corrupt_fetches", s.corrupt_fetches) ]
+    ("degraded_reads", s.degraded_reads) ]
 
 let pp_stats fmt s =
   List.iter (fun (k, v) -> Format.fprintf fmt "%-16s %d@." k v) (stats_fields s)
 
-(* Registry mirrors of the monotonic [stats] fields, bumped at the same
-   sites so a scrape reconciles exactly with the legacy struct.
-   [breaker_trips] is deliberately absent: it is recomputed from the
-   per-mount breakers (sync_breaker_stats), and the faults layer already
-   exports kondo_breaker_trips_total at the trip site. *)
+(* Registry mirrors of the [stats] fields, bumped at the same sites so a
+   scrape reconciles exactly with the legacy struct.  Retry, breaker and
+   corrupt-chunk counts live with the store client that does that work. *)
 module Rt_obs = struct
   open Kondo_obs
 
   let c name help = lazy (Registry.counter ~help Registry.default name)
   let reads = c "kondo_runtime_reads_total" "Element reads issued to the runtime"
   let misses = c "kondo_runtime_misses_total" "Reads that missed the local debloated file"
-  let remote_fetches = c "kondo_runtime_remote_fetches_total" "Misses served by the remote source"
-  let remote_bytes = c "kondo_runtime_remote_bytes_total" "Bytes fetched from the remote source"
-  let store_fetches = c "kondo_runtime_store_fetches_total" "Misses served by the block store"
-  let store_bytes = c "kondo_runtime_store_bytes_total" "Bytes fetched from the block store"
-  let store_fallbacks =
-    c "kondo_runtime_store_fallbacks_total" "Store failures handed to the remote path"
-  let retries = c "kondo_runtime_retries_total" "Remote fetch retries"
+  let store_fetches = c "kondo_runtime_store_fetches_total" "Misses served by the store source"
+  let store_bytes = c "kondo_runtime_store_bytes_total" "Bytes fetched from the store source"
   let degraded_reads = c "kondo_runtime_degraded_reads_total" "Reads that degraded"
-  let corrupt_fetches = c "kondo_runtime_corrupt_fetches_total" "Fetches failing CRC verification"
 
   let fetch_seconds =
     lazy
-      (Registry.histogram ~help:"Latency of serving one miss (store or remote path)"
+      (Registry.histogram ~help:"Latency of serving one miss from the store source"
          Registry.default "kondo_runtime_fetch_seconds")
 
   let inc ?by m = Registry.inc ?by (Lazy.force m)
@@ -79,83 +59,29 @@ type store_source = {
     (bytes, Fault.error) result;
 }
 
-type mount = {
-  dst : string;
-  local : Kfile.t;
-  src : string; (* original source path, the "remote server" copy *)
-  mutable remote_file : Kfile.t option;
-  breaker : Breaker.t;
-}
+type mount = { dst : string; local : Kfile.t }
 
-type degraded_cause =
-  | Breaker_open
-  | Fetch_failed of Fault.error
-
-exception Degraded of { missing : Kfile.missing; cause : degraded_cause }
-
-let cause_to_string = function
-  | Breaker_open -> "circuit breaker open"
-  | Fetch_failed e -> Fault.to_string e
+exception Degraded of { missing : Kfile.missing; cause : Fault.error }
 
 let () =
   Printexc.register_printer (function
     | Degraded { missing; cause } ->
       Some
         (Printf.sprintf "Runtime.Degraded(%s:%s at offset %d: %s)" missing.Kfile.path
-           missing.Kfile.dataset missing.Kfile.offset (cause_to_string cause))
+           missing.Kfile.dataset missing.Kfile.offset (Fault.to_string cause))
     | _ -> None)
 
-type t = {
-  image : Image.t;
-  mounts : mount list;
-  remote : bool;
-  store : store_source option;
-  faults : Fault_plan.t;
-  retry : Retry.policy;
-  rng : Kondo_prng.Rng.t; (* jitter stream: seeded from the plan, advanced per fetch *)
-  mutable now_ms : float; (* virtual clock fed by retry outcomes *)
-  stats : stats;
-}
+type t = { mounts : mount list; store : store_source option; stats : stats }
 
-let boot ?tracer ?(remote = false) ?store ?(faults = Fault_plan.none)
-    ?(retry = Retry.default) ?(breaker = Breaker.default) ~image ~dir () =
-  Retry.validate retry;
-  let mapping = Image.materialize image ~dir in
+let boot ?tracer ?store ~image ~dir () =
   let mounts =
     List.map
-      (fun (dst, path) ->
-        let src =
-          match Spec.data_dep_for image.Image.spec dst with
-          | Some d -> d.Spec.src
-          | None -> ""
-        in
-        { dst;
-          local = Kfile.open_file ?tracer path;
-          src;
-          remote_file = None;
-          breaker = Breaker.create ~config:breaker () })
-      mapping
+      (fun (dst, path) -> { dst; local = Kfile.open_file ?tracer path })
+      (Image.materialize image ~dir)
   in
-  { image;
-    mounts;
-    remote;
+  { mounts;
     store;
-    faults;
-    retry;
-    rng = Kondo_prng.Rng.create (Fault_plan.seed faults);
-    now_ms = 0.0;
-    stats =
-      { reads = 0;
-        misses = 0;
-        remote_fetches = 0;
-        remote_bytes = 0;
-        store_fetches = 0;
-        store_bytes = 0;
-        store_fallbacks = 0;
-        retries = 0;
-        breaker_trips = 0;
-        degraded_reads = 0;
-        corrupt_fetches = 0 } }
+    stats = { reads = 0; misses = 0; store_fetches = 0; store_bytes = 0; degraded_reads = 0 } }
 
 let mount t dst =
   match List.find_opt (fun m -> String.equal m.dst dst) t.mounts with
@@ -169,106 +95,11 @@ let mount t dst =
 
 let file t ~dst = (mount t dst).local
 
-let breaker_state t ~dst = Breaker.state (mount t dst).breaker
-
-let remote_file t m =
-  match m.remote_file with
-  | Some f -> Some f
-  | None ->
-    if t.remote && m.src <> "" && Sys.file_exists m.src then begin
-      let f = Kfile.open_file m.src in
-      m.remote_file <- Some f;
-      Some f
-    end
-    else None
-
-let sync_breaker_stats t =
-  t.stats.breaker_trips <-
-    List.fold_left (fun acc m -> acc + (Breaker.stats m.breaker).Breaker.trips) 0 t.mounts
-
-(* One remote fetch protocol round: the server reads the element and
-   returns (payload, CRC-32 of payload); the fault plan may preempt the
-   round, truncate the payload, or corrupt it after the CRC was
-   computed.  The client end verifies length and CRC — KH5's own data
-   corruption defense, reused at element granularity — and converts a
-   mismatch into a retryable [Corrupt] error. *)
-let fetch_once t m f ~dataset idx =
-  let payload_len = 8 in
-  let attempt =
-    Fault_plan.wrap t.faults
-      ~site:("fetch:" ^ m.dst)
-      ~shorten:(fun (b, crc) -> (Bytes.sub b 0 (Bytes.length b - 1), crc))
-      ~corrupt:(fun (b, crc) ->
-        let b = Bytes.copy b in
-        Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0xFF);
-        (b, crc))
-      (fun () ->
-        match Kfile.read_element f dataset idx with
-        | v ->
-          let b = Bytes.create payload_len in
-          Bytes.set_int64_le b 0 (Int64.bits_of_float v);
-          Ok (b, Kondo_h5.Binio.crc32 b)
-        | exception Kfile.Data_missing _ ->
-          Error (Fault.Permanent "offset also missing at the remote source")
-        | exception Kondo_h5.Binio.Corrupt msg ->
-          Error (Fault.Permanent (Printf.sprintf "remote source corrupt (%s)" msg)))
-  in
-  match attempt with
-  | Error _ as e -> e
-  | Ok (payload, crc) ->
-    if Bytes.length payload <> payload_len then
-      Error (Fault.Transient (Printf.sprintf "short read (%d of %d bytes)" (Bytes.length payload) payload_len))
-    else if Kondo_h5.Binio.crc32 payload <> crc then begin
-      t.stats.corrupt_fetches <- t.stats.corrupt_fetches + 1;
-      Rt_obs.inc Rt_obs.corrupt_fetches;
-      Error (Fault.Corrupt "payload CRC mismatch")
-    end
-    else Ok (Int64.float_of_bits (Bytes.get_int64_le payload 0))
-
-let degrade t miss cause =
-  t.stats.degraded_reads <- t.stats.degraded_reads + 1;
-  Rt_obs.inc Rt_obs.degraded_reads;
-  sync_breaker_stats t;
-  Error (Degraded { missing = miss; cause })
-
-(* Serve a miss remotely: breaker gate, then retry/backoff around the
-   CRC-verified fetch protocol.  Every failure path lands in a
-   structured [Degraded] value — never a leaked exception. *)
-let fetch_remote t m ~dataset idx (miss : Kfile.missing) =
-  match remote_file t m with
-  | None -> Error (Kfile.Data_missing miss)
-  | Some f ->
-    if not (Breaker.allow m.breaker ~now_ms:t.now_ms) then degrade t miss Breaker_open
-    else begin
-      let outcome =
-        Retry.run t.retry ~rng:t.rng (fun ~attempt:_ -> fetch_once t m f ~dataset idx)
-      in
-      t.now_ms <- t.now_ms +. outcome.Retry.elapsed_ms +. 1.0;
-      t.stats.retries <- t.stats.retries + Retry.retries outcome;
-      Rt_obs.inc ~by:(Retry.retries outcome) Rt_obs.retries;
-      match outcome.Retry.result with
-      | Ok v ->
-        Breaker.record_success m.breaker;
-        t.stats.remote_fetches <- t.stats.remote_fetches + 1;
-        Rt_obs.inc Rt_obs.remote_fetches;
-        let ds = Kfile.find f dataset in
-        let esz = Dtype.size ds.Kondo_h5.Dataset.dtype in
-        t.stats.remote_bytes <- t.stats.remote_bytes + esz;
-        Rt_obs.inc ~by:esz Rt_obs.remote_bytes;
-        sync_breaker_stats t;
-        Ok v
-      | Error e ->
-        Breaker.record_failure m.breaker ~now_ms:t.now_ms;
-        degrade t miss (Fetch_failed e)
-    end
-
-(* Serve a miss from the chunk-store source: one element's bytes at the
-   miss offset of the dataset's logical data section.  A store failure
-   (or a wrong-sized payload) counts as a fallback and hands the miss to
-   the remote file path when one is configured, else degrades. *)
-let fetch_store t m ~dataset idx (miss : Kfile.missing) s =
-  let ds = Kfile.find m.local dataset in
-  let dt = ds.Kondo_h5.Dataset.dtype in
+(* Serve a miss from the store source: one element's bytes at the miss
+   offset of the dataset's logical data section.  A store failure (or a
+   wrong-sized payload) degrades to a structured [Degraded]. *)
+let fetch_store t m ~dataset (miss : Kfile.missing) s =
+  let dt = (Kfile.find m.local dataset).Kondo_h5.Dataset.dtype in
   let esz = Dtype.size dt in
   let outcome =
     match s.store_fetch ~dst:m.dst ~dataset ~offset:miss.Kfile.offset ~length:esz with
@@ -287,11 +118,10 @@ let fetch_store t m ~dataset idx (miss : Kfile.missing) s =
     Rt_obs.inc Rt_obs.store_fetches;
     Rt_obs.inc ~by:esz Rt_obs.store_bytes;
     Ok (Dtype.decode dt b 0)
-  | Error e ->
-    t.stats.store_fallbacks <- t.stats.store_fallbacks + 1;
-    Rt_obs.inc Rt_obs.store_fallbacks;
-    if t.remote then fetch_remote t m ~dataset idx miss
-    else degrade t miss (Fetch_failed e)
+  | Error cause ->
+    t.stats.degraded_reads <- t.stats.degraded_reads + 1;
+    Rt_obs.inc Rt_obs.degraded_reads;
+    Error (Degraded { missing = miss; cause })
 
 let try_read_element t ~dst ~dataset idx =
   let m = mount t dst in
@@ -299,19 +129,18 @@ let try_read_element t ~dst ~dataset idx =
   Rt_obs.inc Rt_obs.reads;
   match Kfile.read_element m.local dataset idx with
   | v -> Ok v
-  | exception Kfile.Data_missing miss ->
+  | exception Kfile.Data_missing miss -> (
     t.stats.misses <- t.stats.misses + 1;
     Rt_obs.inc Rt_obs.misses;
-    let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
-    let result =
-      match t.store with
-      | Some s -> fetch_store t m ~dataset idx miss s
-      | None -> fetch_remote t m ~dataset idx miss
-    in
-    Kondo_obs.Registry.observe
-      (Lazy.force Rt_obs.fetch_seconds)
-      (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
-    result
+    match t.store with
+    | None -> Error (Kfile.Data_missing miss)
+    | Some s ->
+      let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
+      let result = fetch_store t m ~dataset miss s in
+      Kondo_obs.Registry.observe
+        (Lazy.force Rt_obs.fetch_seconds)
+        (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
+      result)
 
 let read_element t ~dst ~dataset idx =
   match try_read_element t ~dst ~dataset idx with Ok v -> v | Error exn -> raise exn
@@ -323,9 +152,4 @@ let read_slab t ~dst ~dataset slab f =
 
 let stats t = t.stats
 
-let shutdown t =
-  List.iter
-    (fun m ->
-      Kfile.close m.local;
-      Option.iter Kfile.close m.remote_file)
-    t.mounts
+let shutdown t = List.iter (fun m -> Kfile.close m.local) t.mounts

@@ -1,38 +1,29 @@
 open Kondo_dataarray
 open Kondo_audit
-open Kondo_faults
 
 (** Kondo's user-side runtime (paper §III, hardened per §VI).
 
     Boots an image in a directory, opens its (possibly debloated) data
     files, and serves reads.  An access to a carved-away offset raises
-    the data-missing exception — or, when remote fallback is enabled
-    (§VI), fetches the value from the original file at its source
-    location the way a container runtime pulls missing offsets from a
-    remote server.
+    the data-missing exception — or, when a miss-serving {!store_source}
+    is plugged in (§VI), fetches the bytes from it the way a container
+    runtime pulls missing offsets from a remote server.
 
-    The remote path is fault-tolerant: fetches run under a retry
-    combinator with capped exponential backoff and a deadline budget, a
-    per-mount circuit breaker stops hammering a failing source, and
-    payloads are CRC-32-verified (a mismatch is a retryable fault).  A
-    {!Fault_plan} injects deterministic failures into the fetch protocol
-    for tests and benches.  When every recovery avenue is exhausted the
-    read degrades to a structured {!Degraded} error carrying the missing
-    offset and the cause — never an arbitrary leaked exception.
-    Statistics account for every path. *)
+    The runtime has exactly one miss path: the store source.  Recovery
+    (retry with backoff, circuit breaking, fault injection, per-chunk
+    digest verification) belongs to the source — in practice a
+    [Kondo_store.Client], whether it talks to a [kondo serve] socket or
+    to a loopback server over the image's own source files.  When the
+    source cannot serve a miss the read degrades to a structured
+    {!Degraded} error carrying the missing offset and the cause — never
+    an arbitrary leaked exception. *)
 
 type stats = {
   mutable reads : int;          (** element reads served *)
   mutable misses : int;         (** reads that hit carved-away data *)
-  mutable remote_fetches : int; (** misses satisfied from the remote source file *)
-  mutable remote_bytes : int;   (** bytes pulled from the remote source file *)
-  mutable store_fetches : int;  (** misses satisfied by the chunk-store source *)
-  mutable store_bytes : int;    (** bytes served by the chunk-store source *)
-  mutable store_fallbacks : int;(** store-path failures that fell back to the file path *)
-  mutable retries : int;        (** extra fetch attempts beyond the first *)
-  mutable breaker_trips : int;  (** circuit-breaker open transitions *)
-  mutable degraded_reads : int; (** remote-path reads that degraded to {!Degraded} *)
-  mutable corrupt_fetches : int;(** payloads that failed CRC verification *)
+  mutable store_fetches : int;  (** misses satisfied by the store source *)
+  mutable store_bytes : int;    (** bytes served by the store source *)
+  mutable degraded_reads : int; (** misses the store source could not serve *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
@@ -41,7 +32,7 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val stats_to_json : ?extra:(string * int) list -> stats -> string
 (** The stats as a JSON object; [extra] appends counters from
-    surrounding layers (store client, caches) to the same object. *)
+    surrounding layers (store clients, caches) to the same object. *)
 
 type store_source = {
   source_name : string;  (** for messages, e.g. ["unix:/run/kondo.sock"] *)
@@ -53,48 +44,25 @@ type store_source = {
           offsets are expressed in). *)
 }
 (** A pluggable miss-serving source — how the content-addressed chunk
-    store ([Kondo_store.Client]) plugs into the runtime without the
+    store ([Kondo_store.Source]) plugs into the runtime without the
     container layer depending on it. *)
 
-type degraded_cause =
-  | Breaker_open                  (** the mount's circuit breaker refused the fetch *)
-  | Fetch_failed of Fault.error   (** last error once retries/deadline were exhausted *)
-
-exception Degraded of { missing : Kondo_h5.File.missing; cause : degraded_cause }
-(** The structured data-missing-with-cause failure of the remote path:
-    which offset was missing locally, and why the remote fetch could not
+exception Degraded of { missing : Kondo_h5.File.missing; cause : Kondo_faults.Fault.error }
+(** The structured data-missing-with-cause failure of the miss path:
+    which offset was missing locally, and why the store source could not
     serve it. *)
-
-val cause_to_string : degraded_cause -> string
 
 type t
 
-val boot :
-  ?tracer:Tracer.t ->
-  ?remote:bool ->
-  ?store:store_source ->
-  ?faults:Fault_plan.t ->
-  ?retry:Retry.policy ->
-  ?breaker:Breaker.config ->
-  image:Image.t ->
-  dir:string ->
-  unit ->
-  t
+val boot : ?tracer:Tracer.t -> ?store:store_source -> image:Image.t -> dir:string -> unit -> t
 (** Materialize the image's data layers under [dir] and open them.
-    [remote] (default false) enables fallback to each data dependency's
-    [src] file.  [store] plugs a chunk-store source in {e ahead} of the
-    file fallback: a miss tries the store first and only falls back to
-    the source file (when [remote] is also set) or degrades when the
-    store cannot serve it.  [faults] (default {!Fault_plan.none})
-    injects deterministic failures into remote file fetches; [retry]
-    and [breaker] tune the recovery machinery.  [tracer] audits the
-    container's reads. *)
+    [store] serves misses; without it a miss raises the data-missing
+    exception.  [tracer] audits the container's reads. *)
 
 val read_element : t -> dst:string -> dataset:string -> int array -> float
 (** @raise Kondo_h5.File.Data_missing when the offset was carved away
-    and remote fallback is off or the source file is unavailable.
-    @raise Degraded when remote fallback was attempted and exhausted
-    its retry budget, hit its circuit breaker, or failed permanently. *)
+    and no store source is plugged in.
+    @raise Degraded when the store source failed to serve the miss. *)
 
 val try_read_element :
   t -> dst:string -> dataset:string -> int array -> (float, exn) result
@@ -108,9 +76,6 @@ val file : t -> dst:string -> Kondo_h5.File.t
 (** Direct access to an opened data file.
     @raise Invalid_argument for an unknown mount point, naming the
     requested destination and the available mounts. *)
-
-val breaker_state : t -> dst:string -> Breaker.state
-(** The mount's circuit-breaker state. *)
 
 val stats : t -> stats
 

@@ -77,11 +77,14 @@ let connect ?(retry = Retry.default) ?(breaker = Breaker.default)
 
 let close t = t.conn.Transport.close ()
 let stats t = t.stats
+let peer t = t.conn.Transport.peer
 let breaker_state t = Breaker.state t.breaker
 
 (* One protocol round under the fault plan: the injected short-read and
    corrupt mutations mangle the raw response body, which decoding (or
-   digest verification downstream) then rejects as a retryable fault. *)
+   digest verification downstream) then rejects as a retryable fault.
+   Corruption flips a range GET's chunk payloads (its back half), which
+   the digest check catches, and any other reply's tag byte. *)
 let round_once t req =
   t.stats.requests <- t.stats.requests + 1;
   Cl_obs.inc Cl_obs.requests;
@@ -92,7 +95,11 @@ let round_once t req =
         if body = "" then body
         else begin
           let b = Bytes.of_string body in
-          Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0xFF);
+          let len = Bytes.length b in
+          let first, last = match req with Proto.Batch _ -> (len / 2, len - 1) | _ -> (0, 0) in
+          for i = first to last do
+            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 0xFF)
+          done;
           Bytes.unsafe_to_string b
         end)
       (fun () ->

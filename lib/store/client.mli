@@ -35,6 +35,10 @@ val connect :
 
 val close : t -> unit
 val stats : t -> stats
+
+val peer : t -> string
+(** The transport's peer description, e.g. ["unix:/run/kondo.sock"]. *)
+
 val breaker_state : t -> Kondo_faults.Breaker.state
 
 val manifest : t -> name:string -> (Chunk.manifest, Kondo_faults.Fault.error) result

@@ -45,12 +45,14 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let add_manifest t m = locked t (fun () -> Hashtbl.replace t.manifests m.Chunk.name m)
+
 let add_blob t ?chunk_size ~name content =
   let m = Chunk.manifest_of_bytes ?chunk_size ~name content in
   List.iter
     (fun (_, payload) -> ignore (Block_store.put t.store (Chunk.digest payload) payload))
     (Chunk.split ?chunk_size content);
-  locked t (fun () -> Hashtbl.replace t.manifests name m);
+  add_manifest t m;
   m
 
 let add_kh5 t ?chunk_size ~name path =

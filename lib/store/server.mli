@@ -21,6 +21,10 @@ val create :
 val store : t -> Block_store.t
 val cache : t -> Cache.t
 
+val add_manifest : t -> Chunk.manifest -> unit
+(** Register a manifest under its name; its chunks are put into the
+    store separately. *)
+
 val add_blob : t -> ?chunk_size:int -> name:string -> bytes -> Chunk.manifest
 (** Chunk a blob into the store and register its manifest under [name]. *)
 

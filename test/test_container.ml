@@ -188,6 +188,13 @@ let test_runtime_serves_reads () =
   Runtime.shutdown rt;
   Sys.remove src
 
+(* The remote-file source: the image's source files behind a loopback
+   chunk server and a store client. *)
+let remote_source ?faults ?retry img =
+  match Kondo_store.Source.of_image ?faults ?retry img with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
 let test_runtime_remote_fallback () =
   let p, src, img = build_image () in
   (* debloat the image down to nothing to force misses *)
@@ -213,12 +220,16 @@ let test_runtime_remote_fallback () =
   Alcotest.(check int) "miss counted" 1 (Runtime.stats rt).Runtime.misses;
   Runtime.shutdown rt;
   (* with remote fallback: value served from the source file *)
-  let rt = Runtime.boot ~remote:true ~image:img ~dir () in
+  let client, store = remote_source img in
+  let rt = Runtime.boot ~store ~image:img ~dir () in
   let v = Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset [| 0; 0 |] in
   Alcotest.(check (float 1e-9)) "remote value" (Datafile.fill [| 0; 0 |]) v;
-  Alcotest.(check int) "remote fetch counted" 1 (Runtime.stats rt).Runtime.remote_fetches;
-  Alcotest.(check bool) "remote bytes counted" true ((Runtime.stats rt).Runtime.remote_bytes > 0);
+  Alcotest.(check int) "remote fetch counted" 1 (Runtime.stats rt).Runtime.store_fetches;
+  Alcotest.(check bool) "remote bytes counted" true ((Runtime.stats rt).Runtime.store_bytes > 0);
+  Alcotest.(check int) "one verified chunk" 1
+    (Kondo_store.Client.stats client).Kondo_store.Client.fetched_chunks;
   Runtime.shutdown rt;
+  Kondo_store.Client.close client;
   Sys.remove src;
   Sys.remove tmp_deb
 
@@ -283,54 +294,56 @@ let generous_retry =
 
 let test_runtime_transient_faults_all_served () =
   let p, src, img = build_hollow_image () in
-  let boot () =
-    Runtime.boot ~remote:true ~faults:(transient_plan ()) ~retry:generous_retry
-      ~image:img ~dir:(fresh_dir "kondo_rtf") ()
+  let run () =
+    let client, store = remote_source ~faults:(transient_plan ()) ~retry:generous_retry img in
+    let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtf") () in
+    let served, degraded = read_all_truth rt p in
+    let s = Runtime.stats rt in
+    Alcotest.(check int) "no read degrades" 0 degraded;
+    Alcotest.(check int) "every truth read served" served s.Runtime.store_fetches;
+    Alcotest.(check int) "none degraded in stats" 0 s.Runtime.degraded_reads;
+    Runtime.shutdown rt;
+    Kondo_store.Client.close client;
+    (served, Kondo_store.Client.stats client)
   in
-  let rt = boot () in
-  let served, degraded = read_all_truth rt p in
-  let s = Runtime.stats rt in
-  Alcotest.(check int) "no read degrades" 0 degraded;
-  Alcotest.(check int) "every truth read served" served s.Runtime.remote_fetches;
-  Alcotest.(check bool) "faults forced retries" true (s.Runtime.retries > 0);
-  Alcotest.(check bool) "corrupt payloads detected" true (s.Runtime.corrupt_fetches > 0);
-  Alcotest.(check int) "none degraded in stats" 0 s.Runtime.degraded_reads;
-  Runtime.shutdown rt;
+  let served, cs = run () in
+  Alcotest.(check bool) "faults forced retries" true (cs.Kondo_store.Client.retries > 0);
+  Alcotest.(check bool) "corrupt chunks detected" true
+    (cs.Kondo_store.Client.corrupt_fetches > 0);
   (* a fixed fault seed reproduces: identical stats on a second run *)
-  let rt2 = boot () in
-  let served2, degraded2 = read_all_truth rt2 p in
-  let s2 = Runtime.stats rt2 in
-  Alcotest.(check (pair int int)) "served/degraded reproduce" (served, degraded)
-    (served2, degraded2);
-  Alcotest.(check int) "retries reproduce" s.Runtime.retries s2.Runtime.retries;
-  Alcotest.(check int) "corrupt fetches reproduce" s.Runtime.corrupt_fetches
-    s2.Runtime.corrupt_fetches;
-  Runtime.shutdown rt2;
+  let served2, cs2 = run () in
+  Alcotest.(check int) "served reproduces" served served2;
+  Alcotest.(check int) "retries reproduce" cs.Kondo_store.Client.retries
+    cs2.Kondo_store.Client.retries;
+  Alcotest.(check int) "corrupt fetches reproduce" cs.Kondo_store.Client.corrupt_fetches
+    cs2.Kondo_store.Client.corrupt_fetches;
   Sys.remove src
 
 let test_runtime_permanent_faults_degrade () =
   let p, src, img = build_hollow_image () in
   let plan = Kondo_faults.Fault_plan.create ~permanent:1.0 ~seed:7 () in
-  let rt =
-    Runtime.boot ~remote:true ~faults:plan ~image:img ~dir:(fresh_dir "kondo_rtp") ()
-  in
+  let client, store = remote_source ~faults:plan img in
+  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtp") () in
   let served, degraded = read_all_truth rt p in
   let s = Runtime.stats rt in
   Alcotest.(check int) "nothing served" 0 served;
   Alcotest.(check bool) "every read degrades, none crashes" true (degraded > 0);
   Alcotest.(check int) "stats account every degraded read" degraded s.Runtime.degraded_reads;
-  Alcotest.(check bool) "breaker tripped" true (s.Runtime.breaker_trips > 0);
+  Alcotest.(check bool) "breaker rejected fetches" true
+    ((Kondo_store.Client.stats client).Kondo_store.Client.breaker_rejections > 0);
   Alcotest.(check bool) "breaker open" true
-    (Runtime.breaker_state rt ~dst:"/app/data.kh5" <> Kondo_faults.Breaker.Closed);
+    (Kondo_store.Client.breaker_state client <> Kondo_faults.Breaker.Closed);
   (* the raising variant surfaces the same structured error *)
   (match
      Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset [| 0; 0 |]
    with
   | _ -> Alcotest.fail "expected Degraded"
-  | exception Runtime.Degraded { missing; cause = _ } ->
+  | exception Runtime.Degraded { missing; cause } ->
     Alcotest.(check string) "missing names the dataset" p.Program.dataset
-      missing.Kondo_h5.File.dataset);
+      missing.Kondo_h5.File.dataset;
+    Alcotest.(check bool) "cause is permanent" false (Kondo_faults.Fault.is_retryable cause));
   Runtime.shutdown rt;
+  Kondo_store.Client.close client;
   Sys.remove src
 
 let test_materialize_mapping () =

@@ -103,10 +103,16 @@ let test_unsupported_param_raises_then_remote () =
      with Kondo_h5.File.Data_missing _ -> ());
     Runtime.shutdown rt;
     (* §VI: the runtime can pull missing offsets from a remote server *)
-    let rt = Runtime.boot ~remote:true ~image:debloated ~dir () in
+    let client, store =
+      match Kondo_store.Source.of_image debloated with
+      | Ok r -> r
+      | Error e -> Alcotest.fail e
+    in
+    let rt = Runtime.boot ~store ~image:debloated ~dir () in
     let v = Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset idx in
     Alcotest.(check (float 1e-9)) "remote fetch returns original" (Datafile.fill idx) v;
     Runtime.shutdown rt;
+    Kondo_store.Client.close client;
     Sys.remove src
 
 let test_lineage_of_audited_container_run () =

@@ -429,6 +429,47 @@ let test_server_put_and_stat () =
     Alcotest.(check int) "stored bytes" 90 i.Proto.store_bytes
   | Error e -> Alcotest.fail (Fault.to_string e)
 
+(* Stats and metrics replies carry no digest: injected corruption must
+   fail their decoding (and be retried), never decode into wrong
+   counters or mangled exposition text. *)
+let test_replies_under_corruption_exact_or_error () =
+  let server, conn = loopback_pair () in
+  let blob = bytes_of_seed 71 300 in
+  let m = Server.add_blob server ~chunk_size:64 ~name:"blob" blob in
+  let warm = Client.connect conn in
+  for _ = 1 to 2 do
+    ignore (Client.read_bytes warm m ~offset:0 ~length:300)
+  done;
+  let exact =
+    match Client.stat warm with Ok i -> i | Error e -> Alcotest.fail (Fault.to_string e)
+  in
+  Alcotest.(check bool) "server cache counters are non-zero" true
+    (exact.Proto.cache_hits > 0 && exact.Proto.cache_misses > 0);
+  let retry = { Retry.default with Retry.max_attempts = 4; deadline_ms = 1e9 } in
+  let served = ref 0 in
+  List.iter
+    (fun (corrupt, seed) ->
+      let faults = Fault_plan.create ~corrupt ~seed () in
+      let client =
+        Client.connect ~retry ~faults (Transport.loopback ~handle:(Server.handle server))
+      in
+      for _ = 1 to 5 do
+        (match Client.stat client with
+        | Ok i ->
+          incr served;
+          Alcotest.(check bool) "stats exact" true (i = exact)
+        | Error _ -> ());
+        match Client.scrape client with
+        | Ok text ->
+          incr served;
+          Alcotest.(check bool) "metrics text intact" true
+            (String.for_all (fun c -> Char.code c < 128) text
+            && String.length text > 0 && text.[0] = '#')
+        | Error _ -> ()
+      done)
+    [ (1.0, 1); (1.0, 2); (0.5, 3); (0.5, 4) ];
+  Alcotest.(check bool) "some replies served through retries" true (!served > 0)
+
 (* ---- Runtime over the store ---- *)
 
 let build_hollow_image ?(n = 16) () =
@@ -464,31 +505,13 @@ let fresh_dir prefix =
   Unix.mkdir dir 0o755;
   dir
 
-let store_source_for client ~socket =
-  let manifests = Hashtbl.create 4 in
-  let manifest_for dataset =
-    match Hashtbl.find_opt manifests dataset with
-    | Some m -> Ok m
-    | None -> (
-      match Client.manifest client ~name:("#" ^ dataset) with
-      | Ok m ->
-        Hashtbl.add manifests dataset m;
-        Ok m
-      | Error _ as e -> e)
-  in
-  { Runtime.source_name = socket;
-    store_fetch =
-      (fun ~dst:_ ~dataset ~offset ~length ->
-        match manifest_for dataset with
-        | Error e -> Error e
-        | Ok m -> Client.read_bytes client m ~offset ~length) }
-
 let test_runtime_reads_through_store () =
   let p, src, img = build_hollow_image () in
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~chunk_size:128 ~name:(Filename.basename src) src);
   let client = Client.connect ~cache:(Cache.create ~budget_bytes:65536 ()) conn in
-  let store = store_source_for client ~socket:"loopback" in
+  let store = Source.of_client ~image:img client in
+  Alcotest.(check string) "source named after the peer" "loopback" store.Runtime.source_name;
   let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rts") () in
   for i = 0 to 15 do
     for j = 0 to 15 do
@@ -502,39 +525,213 @@ let test_runtime_reads_through_store () =
   let s = Runtime.stats rt in
   Alcotest.(check int) "every read missed locally" 256 s.Runtime.misses;
   Alcotest.(check int) "every miss store-served" 256 s.Runtime.store_fetches;
-  Alcotest.(check bool) "store bytes accounted" true (s.Runtime.store_bytes > 0);
-  Alcotest.(check int) "no fallbacks" 0 s.Runtime.store_fallbacks;
-  Alcotest.(check int) "file remote path unused" 0 s.Runtime.remote_fetches;
+  Alcotest.(check int) "store bytes accounted"
+    (256 * Kondo_dataarray.Dtype.size p.Program.dtype)
+    s.Runtime.store_bytes;
+  Alcotest.(check int) "nothing degraded" 0 s.Runtime.degraded_reads;
+  let cs = Client.stats client in
+  Alcotest.(check int) "one manifest request" 1 (cs.Client.requests - cs.Client.range_gets);
   Runtime.shutdown rt;
   Client.close client;
   Sys.remove src
 
+let remote_source ?faults ?retry img =
+  match Source.of_image ?faults ?retry img with Ok r -> r | Error e -> Alcotest.fail e
+
 let test_runtime_store_failure_falls_back_to_file () =
   let p, src, img = build_hollow_image () in
+  let broken_calls = ref 0 in
   let broken =
     { Runtime.source_name = "broken";
-      store_fetch = (fun ~dst:_ ~dataset:_ ~offset:_ ~length:_ -> Error (Fault.Transient "down")) }
+      store_fetch =
+        (fun ~dst:_ ~dataset:_ ~offset:_ ~length:_ ->
+          incr broken_calls;
+          Error (Fault.Transient "down")) }
   in
-  (* with the file fallback: served, and the fallback is accounted *)
-  let rt =
-    Runtime.boot ~remote:true ~store:broken ~image:img ~dir:(fresh_dir "kondo_rtf") ()
-  in
+  (* with the file fallback: served, the store tried first *)
+  let file_client, file_source = remote_source img in
+  let store = Source.first [ broken; file_source ] in
+  Alcotest.(check string) "order in the name" "broken, then remote" store.Runtime.source_name;
+  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtf") () in
   let v = Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] in
   Alcotest.(check (float 1e-9)) "file fallback value" (Datafile.fill [| 2; 3 |]) v;
-  let s = Runtime.stats rt in
-  Alcotest.(check int) "fallback counted" 1 s.Runtime.store_fallbacks;
-  Alcotest.(check int) "served by the file path" 1 s.Runtime.remote_fetches;
-  Alcotest.(check int) "not by the store" 0 s.Runtime.store_fetches;
+  Alcotest.(check int) "store tried first" 1 !broken_calls;
+  Alcotest.(check int) "served by the file path" 1
+    (Client.stats file_client).Client.fetched_chunks;
+  Alcotest.(check int) "one miss served" 1 (Runtime.stats rt).Runtime.store_fetches;
+  Runtime.shutdown rt;
+  (* a working store is preferred: the file source is never asked *)
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
+  let store_client = Client.connect conn in
+  let file_client, file_source = remote_source img in
+  let store = Source.first [ Source.of_client ~image:img store_client; file_source ] in
+  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rto") () in
+  let v = Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] in
+  Alcotest.(check (float 1e-9)) "store value" (Datafile.fill [| 2; 3 |]) v;
+  Alcotest.(check int) "served by the store" 1
+    (Client.stats store_client).Client.fetched_chunks;
+  Alcotest.(check int) "file source untouched" 0 (Client.stats file_client).Client.requests;
   Runtime.shutdown rt;
   (* without the file fallback: a structured degrade, not a crash *)
   let rt = Runtime.boot ~store:broken ~image:img ~dir:(fresh_dir "kondo_rtg") () in
   (match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] with
-  | Error (Runtime.Degraded _) -> ()
+  | Error (Runtime.Degraded { cause = Fault.Transient "down"; _ }) -> ()
   | Ok _ -> Alcotest.fail "read served with no working source"
   | Error exn -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string exn));
   Alcotest.(check int) "degrade accounted" 1 (Runtime.stats rt).Runtime.degraded_reads;
   Runtime.shutdown rt;
   Sys.remove src
+
+(* A store serving a smaller file whose dataset has the same name: every
+   miss is a structured permanent degrade — not an escaping
+   Invalid_argument, and not a value read from the wrong file. *)
+let test_smaller_same_named_file_degrades () =
+  let p, src, img = build_hollow_image () in
+  let small_src = Filename.temp_file "kondo_store_small" ".kh5" in
+  Datafile.write_for ~path:small_src (Stencils.ldc2d ~n:8 ());
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~name:"small.kh5" small_src);
+  let client = Client.connect conn in
+  let store = Source.of_client ~image:img client in
+  let permanent = function
+    | Error (Fault.Permanent _) -> true
+    | _ -> false
+  in
+  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtsm") () in
+  List.iter
+    (fun idx ->
+      match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset idx with
+      | Error (Runtime.Degraded { cause; _ }) ->
+        Alcotest.(check bool) "permanent cause" true (permanent (Error cause))
+      | Ok _ -> Alcotest.fail "served from the wrong file"
+      | Error exn -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string exn))
+    [ [| 0; 0 |]; [| 15; 15 |] ];
+  Alcotest.(check int) "both degraded" 2 (Runtime.stats rt).Runtime.degraded_reads;
+  Runtime.shutdown rt;
+  (* a range outside the manifest is an error value, not an exception *)
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~name:"full.kh5" src);
+  let store = Source.of_client ~image:img (Client.connect conn) in
+  Alcotest.(check bool) "past the end: permanent" true
+    (permanent
+       (store.Runtime.store_fetch ~dst:"/data" ~dataset:p.Program.dataset ~offset:(1 lsl 20)
+          ~length:8));
+  Client.close client;
+  Sys.remove small_src;
+  Sys.remove src
+
+(* ---- Property: both sources serve every valuation's reads ---- *)
+
+(* A weakly debloated 32x32 CS1 or PRL2D image, built once per program:
+   a tiny fuzz budget leaves many in-truth offsets carved away. *)
+let weak_fixture =
+  let build p =
+    lazy
+      (let src = Filename.temp_file "kondo_store_weak" ".kh5" in
+       at_exit (fun () -> try Sys.remove src with Sys_error _ -> ());
+       Datafile.write_for ~path:src p;
+       let spec =
+         { Spec.empty with
+           Spec.base = "scratch";
+           data_deps = [ { Spec.src; dst = "/data" } ];
+           param_space = p.Program.param_space }
+       in
+       let fetch path =
+         let ic = open_in_bin path in
+         let b = Bytes.create (in_channel_length ic) in
+         really_input ic b 0 (Bytes.length b);
+         close_in ic;
+         b
+       in
+       let weak =
+         { Kondo_core.Config.default with
+           Kondo_core.Config.seed = 3; max_iter = 8; stop_iter = 8; n_init = 2 }
+       in
+       let img, _ =
+         Kondo_core.Pipeline.debloat_image ~config:weak p ~image:(Image.build spec ~fetch)
+           ~dst:"/data"
+       in
+       (p, src, img))
+  in
+  let cs1 = build (Stencils.cs ~n:32 1) and prl2d = build (Stencils.prl2d ~n:32 ()) in
+  fun use_prl -> Lazy.force (if use_prl then prl2d else cs1)
+
+(* Read the valuations through both sources over the same fixture, each
+   with its own fresh plan: the file source ([--remote]) and a store
+   client over the source file ([--remote-store]).  [ok] judges every
+   read; [verdict] the runtime stats and client of each source. *)
+let check_sources ~plan (p, src, img) vs ~ok ~verdict =
+  let retry = { Retry.default with Retry.max_attempts = 48; deadline_ms = 1e9 } in
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
+  let store_client = Client.connect ~faults:(plan ()) ~retry conn in
+  List.for_all
+    (fun (client, store) ->
+      let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtq") () in
+      let good = ref true in
+      List.iter
+        (fun v ->
+          Program.iter_access p v (fun idx ->
+              good :=
+                ok idx (Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset idx)
+                && !good))
+        vs;
+      let s = Runtime.stats rt in
+      Runtime.shutdown rt;
+      Client.close client;
+      !good && verdict s client)
+    [ remote_source ~faults:(plan ()) ~retry img;
+      (store_client, Source.of_client ~image:img store_client) ]
+
+let valuation_gen = QCheck.(triple bool (int_bound 100_000) (int_bound 100_000))
+
+(* Four random useful valuations (about half of CS1's and PRL2D's
+   space reads nothing), so misses accumulate past the breaker's
+   threshold. *)
+let valuations p seed =
+  let rng = Kondo_prng.Rng.create seed in
+  let rec draw () =
+    let v =
+      Program.clamp_params p
+        (Array.map (fun (lo, hi) -> Kondo_prng.Rng.float_in rng lo hi) p.Program.param_space)
+    in
+    if Program.is_useful p v then v else draw ()
+  in
+  List.init 4 (fun _ -> draw ())
+
+let qcheck_retryable_faults_serve_every_read =
+  QCheck.Test.make ~count:30
+    ~name:"retryable-only faults: file and store sources serve every read exactly"
+    QCheck.(pair valuation_gen (quad (int_bound 15) (int_bound 10) (int_bound 15) (int_bound 5)))
+    (fun ((use_prl, vseed, fseed), (tr, to_, co, sh)) ->
+      let ((p, _, _) as fixture) = weak_fixture use_prl in
+      let pct x = float_of_int x /. 100.0 in
+      let plan () =
+        Fault_plan.create ~transient:(pct tr) ~timeout:(pct to_) ~corrupt:(pct co)
+          ~short_read:(pct sh) ~seed:fseed ()
+      in
+      check_sources ~plan fixture (valuations p vseed)
+        ~ok:(fun idx -> function Ok x -> Float.equal x (Datafile.fill idx) | Error _ -> false)
+        ~verdict:(fun s _ ->
+          s.Runtime.degraded_reads = 0 && s.Runtime.store_fetches = s.Runtime.misses))
+
+let qcheck_permanent_faults_degrade =
+  QCheck.Test.make ~count:30
+    ~name:"permanent faults: every miss degrades and the breaker opens"
+    valuation_gen
+    (fun (use_prl, vseed, fseed) ->
+      let ((p, _, _) as fixture) = weak_fixture use_prl in
+      let plan () = Fault_plan.create ~permanent:1.0 ~seed:fseed () in
+      check_sources ~plan fixture (valuations p vseed)
+        ~ok:(fun idx -> function
+          | Ok x -> Float.equal x (Datafile.fill idx)
+          | Error (Runtime.Degraded _) -> true
+          | Error _ -> false)
+        ~verdict:(fun s client ->
+          (* the breaker trips after 5 consecutive failed exchanges *)
+          s.Runtime.degraded_reads = s.Runtime.misses
+          && (s.Runtime.misses < 5 || Client.breaker_state client <> Breaker.Closed)))
 
 let test_runtime_stats_rendering () =
   let _, src, img = build_hollow_image () in
@@ -543,7 +740,7 @@ let test_runtime_stats_rendering () =
   let text = Format.asprintf "%a" Runtime.pp_stats s in
   List.iter
     (fun key -> Alcotest.(check bool) (key ^ " in pp_stats") true (contains text key))
-    [ "reads"; "store_fetches"; "remote_fetches"; "corrupt_fetches" ];
+    [ "reads"; "misses"; "store_fetches"; "store_bytes"; "degraded_reads" ];
   let json = Runtime.stats_to_json ~extra:[ ("client_cache_hits", 3) ] s in
   Alcotest.(check bool) "json has stats fields" true
     (String.length json > 0
@@ -551,7 +748,7 @@ let test_runtime_stats_rendering () =
     && json.[String.length json - 1] = '}');
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " in json") true (contains json needle))
-    [ "\"store_fallbacks\": 0"; "\"client_cache_hits\": 3" ];
+    [ "\"degraded_reads\": 0"; "\"client_cache_hits\": 3" ];
   Runtime.shutdown rt;
   Sys.remove src
 
@@ -648,10 +845,16 @@ let suite =
       Alcotest.test_case "corrupt fault plan retried" `Quick
         test_client_corrupt_fault_plan_retried;
       Alcotest.test_case "put and stat" `Quick test_server_put_and_stat;
+      Alcotest.test_case "stats and metrics under corruption" `Quick
+        test_replies_under_corruption_exact_or_error;
       Alcotest.test_case "runtime reads through the store" `Quick
         test_runtime_reads_through_store;
       Alcotest.test_case "store failure falls back to the file" `Quick
         test_runtime_store_failure_falls_back_to_file;
+      Alcotest.test_case "smaller same-named store file degrades" `Quick
+        test_smaller_same_named_file_degrades;
+      QCheck_alcotest.to_alcotest qcheck_retryable_faults_serve_every_read;
+      QCheck_alcotest.to_alcotest qcheck_permanent_faults_degrade;
       Alcotest.test_case "runtime stats render" `Quick test_runtime_stats_rendering;
       Alcotest.test_case "registry over the block store" `Quick
         test_registry_over_block_store;
