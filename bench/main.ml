@@ -28,6 +28,7 @@ let experiments =
     ("parallel", "Parallel engine: sequential vs domain-parallel wall time", Exp_parallel.run);
     ("faults", "Fault tolerance: served reads under swept fault rates", Exp_faults.run);
     ("store", "Content-addressed store: cache budget sweep over served misses", Exp_store.run);
+    ("pipeline", "End-to-end debloat split by span over the size sweep", Exp_pipeline.run);
     ("micro", "Bechamel micro-benchmarks", Microbench.run) ]
 
 let list_ids () =

@@ -790,9 +790,23 @@ let () =
     Cmd.info "kondo" ~version:"1.0.0"
       ~doc:"Provenance-driven data debloating (reproduction of Kondo, ICDE 2024)."
   in
+  (* An unreadable or malformed input file is a usage error (exit 2, one
+     line), not an internal one. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ programs_cmd; mkdata_cmd; debloat_cmd; run_cmd; serve_cmd; stats_cmd;
-            report_cmd; inspect_cmd; invariant_cmd; audit_cmd; campaign_cmd; replay_cmd;
-            convert_cmd ]))
+    (try
+       Cmd.eval ~catch:false
+         (Cmd.group info
+            [ programs_cmd; mkdata_cmd; debloat_cmd; run_cmd; serve_cmd; stats_cmd;
+              report_cmd; inspect_cmd; invariant_cmd; audit_cmd; campaign_cmd; replay_cmd;
+              convert_cmd ])
+     with
+     | Kondo_h5.Binio.Corrupt msg ->
+       Printf.eprintf "kondo: malformed KH5 file: %s\n" msg;
+       2
+     | Sys_error msg ->
+       Printf.eprintf "kondo: %s\n" msg;
+       2
+     | e ->
+       Printf.eprintf "kondo: internal error, uncaught exception:\n       %s\n"
+         (Printexc.to_string e);
+       Cmd.Exit.internal_error)

@@ -28,6 +28,16 @@ module Carve_obs = struct
     lazy
       (Registry.counter ~help:"Vertices across the final merged hulls" Registry.default
          "kondo_carve_vertices_total")
+
+  let raster_rows =
+    lazy
+      (Registry.counter ~help:"Lattice rows scanned by rasterize" Registry.default
+         "kondo_rasterize_rows_total")
+
+  let raster_contains =
+    lazy
+      (Registry.counter ~help:"Hull containment tests made by rasterize" Registry.default
+         "kondo_rasterize_contains_total")
 end
 
 let close ~config h1 h2 =
@@ -179,9 +189,15 @@ let carve_points ~config ~dims points =
     { hulls = merged; initial_cells; merge_rounds; merges }
 
 let carve ~config is =
-  let points = ref [] in
-  Index_set.iter is (fun idx -> points := Array.copy idx :: !points);
-  carve_points ~config ~dims:(Shape.dims (Index_set.shape is)) !points
+  let points =
+    Kondo_obs.Obs.span "carve.points" ~cat:"carve"
+      ~args:[ ("points", string_of_int (Index_set.cardinal is)) ]
+      (fun () ->
+        let points = ref [] in
+        Index_set.iter is (fun idx -> points := Array.copy idx :: !points);
+        !points)
+  in
+  carve_points ~config ~dims:(Shape.dims (Index_set.shape is)) points
 
 let single_hull is =
   if Index_set.is_empty is then None
@@ -193,5 +209,15 @@ let single_hull is =
 
 let rasterize shape hulls =
   let out = Index_set.create shape in
-  List.iter (fun h -> Hull.iter_lattice h (fun idx -> ignore (Index_set.add_if_in_bounds out idx))) hulls;
+  let dims = Shape.dims shape in
+  let rows = ref 0 and calls = ref 0 in
+  List.iter
+    (fun h ->
+      let s = Hull.iter_rows ~dims h (fun idx lo hi -> Index_set.add_run out idx (hi - lo + 1)) in
+      rows := !rows + s.Hull.rows;
+      calls := !calls + s.Hull.contains_calls)
+    hulls;
+  let open Kondo_obs in
+  Registry.inc ~by:!rows (Lazy.force Carve_obs.raster_rows);
+  Registry.inc ~by:!calls (Lazy.force Carve_obs.raster_contains);
   out

@@ -11,8 +11,12 @@ type report = {
   elapsed : float;
 }
 
+(* Every pipeline step is an ambient span: free when no tracer is
+   installed, and under [--trace] the steps of a debloat cover it. *)
+let span ?args ?result_args name f = Kondo_obs.Obs.span ~cat:"pipeline" ?args ?result_args name f
+
 let approximate ~config p =
-  Kondo_obs.Obs.span "pipeline.approximate" ~cat:"pipeline"
+  span "pipeline.approximate"
     ~args:[ ("program", p.Program.name) ]
     ~result_args:(fun r ->
       [ ("approx_indices", string_of_int (Index_set.cardinal r.approx));
@@ -21,10 +25,17 @@ let approximate ~config p =
       let t0 = Unix.gettimeofday () in
       let fuzz = Schedule.run ~config p in
       let carve = Carver.carve ~config fuzz.Schedule.indices in
-      let approx = Carver.rasterize p.Program.shape carve.Carver.hulls in
-      (* Observed indices are certainly required; hulls contain their own
-         input points, but numerical eps could drop a boundary point. *)
-      Index_set.union_into approx fuzz.Schedule.indices;
+      let approx =
+        span "pipeline.rasterize"
+          ~result_args:(fun a -> [ ("approx_indices", string_of_int (Index_set.cardinal a)) ])
+          (fun () ->
+            let approx = Carver.rasterize p.Program.shape carve.Carver.hulls in
+            (* Observed indices are certainly required; hulls contain their
+               own input points, but numerical eps could drop a boundary
+               point. *)
+            Index_set.union_into approx fuzz.Schedule.indices;
+            approx)
+      in
       { program = p.Program.name;
         fuzz;
         carve;
@@ -38,85 +49,102 @@ let evaluate ~config p =
   { r with accuracy = Some (Metrics.accuracy ~truth ~approx:r.approx) }
 
 let keep_intervals p approx ~layout =
-  let shape = p.Program.shape in
-  let dtype = p.Program.dtype in
-  let esz = Kondo_dataarray.Dtype.size dtype in
-  let offsets = ref [] in
-  Index_set.iter approx (fun idx ->
-      offsets := Layout.element_offset layout shape dtype idx :: !offsets);
-  let sorted = List.sort compare !offsets in
-  Interval_set.of_sorted (List.map (fun off -> Interval.make off (off + esz)) sorted)
+  span "pipeline.keep_intervals"
+    ~args:[ ("program", p.Program.name) ]
+    ~result_args:(fun k -> [ ("intervals", string_of_int (Interval_set.cardinal k)) ])
+    (fun () ->
+      let shape = p.Program.shape in
+      let dtype = p.Program.dtype in
+      let esz = Kondo_dataarray.Dtype.size dtype in
+      let offsets = ref [] in
+      Index_set.iter approx (fun idx ->
+          offsets := Layout.element_offset layout shape dtype idx :: !offsets);
+      let sorted = List.sort compare !offsets in
+      Interval_set.of_sorted (List.map (fun off -> Interval.make off (off + esz)) sorted))
+
+let write_debloated dst ~source ~keep =
+  span "pipeline.write"
+    ~result_args:(fun () -> [ ("bytes", string_of_int (Unix.stat dst).Unix.st_size) ])
+    (fun () -> Kondo_h5.Writer.write_debloated dst ~source ~keep)
+
+let with_source src f =
+  let source = Kondo_h5.File.open_file src in
+  Fun.protect ~finally:(fun () -> Kondo_h5.File.close source) (fun () -> f source)
+
+(* Keep the intervals of [p]'s dataset covering [approx]; drop every
+   other dataset. *)
+let write_one p approx ~src ~dst =
+  with_source src (fun source ->
+      let ds = Kondo_h5.File.find source p.Program.dataset in
+      let keep_set = keep_intervals p approx ~layout:ds.Kondo_h5.Dataset.layout in
+      write_debloated dst ~source ~keep:(fun name ->
+          if String.equal name p.Program.dataset then keep_set else Interval_set.empty))
 
 let debloat_file ~config p ~src ~dst =
-  let report = approximate ~config p in
-  let source = Kondo_h5.File.open_file src in
-  Fun.protect
-    ~finally:(fun () -> Kondo_h5.File.close source)
+  span "pipeline.debloat_file"
+    ~args:[ ("program", p.Program.name) ]
     (fun () ->
-      let ds = Kondo_h5.File.find source p.Program.dataset in
-      let keep_set = keep_intervals p report.approx ~layout:ds.Kondo_h5.Dataset.layout in
-      Kondo_h5.Writer.write_debloated dst ~source ~keep:(fun name ->
-          if String.equal name p.Program.dataset then keep_set else Interval_set.empty);
+      let report = approximate ~config p in
+      write_one p report.approx ~src ~dst;
       report)
 
 let debloat_file_many ~config programs ~src ~dst =
-  (* One level of parallelism only: with several programs the fan-out is
-     per program and the inner fuzz/carve runs sequentially (nested pool
-     use is an error); a single program keeps its inner jobs so the
-     carver still parallelizes.  Results are identical either way. *)
-  let pool = Kondo_parallel.Pool.create ~jobs:config.Config.jobs in
-  let inner =
-    if Kondo_parallel.Pool.jobs pool > 1 && List.length programs > 1 then
-      { config with Config.jobs = 1 }
-    else config
-  in
-  let reports =
-    Kondo_parallel.Pool.map_list pool (fun p -> (p, approximate ~config:inner p)) programs
-  in
-  let source = Kondo_h5.File.open_file src in
-  Fun.protect
-    ~finally:(fun () -> Kondo_h5.File.close source)
+  span "pipeline.debloat_file_many"
+    ~args:[ ("programs", string_of_int (List.length programs)) ]
     (fun () ->
-      let keep_for name =
-        List.fold_left
-          (fun acc (p, report) ->
-            if String.equal p.Program.dataset name then begin
-              let ds = Kondo_h5.File.find source name in
-              Interval_set.union acc
-                (keep_intervals p report.approx ~layout:ds.Kondo_h5.Dataset.layout)
-            end
-            else acc)
-          Interval_set.empty reports
+      (* One level of parallelism only: with several programs the fan-out
+         is per program and the inner fuzz/carve runs sequentially (nested
+         pool use is an error); a single program keeps its inner jobs so
+         the carver still parallelizes.  Results are identical either
+         way. *)
+      let pool = Kondo_parallel.Pool.create ~jobs:config.Config.jobs in
+      let inner =
+        if Kondo_parallel.Pool.jobs pool > 1 && List.length programs > 1 then
+          { config with Config.jobs = 1 }
+        else config
       in
-      Kondo_h5.Writer.write_debloated dst ~source ~keep:keep_for;
+      let reports =
+        Kondo_parallel.Pool.map_list pool (fun p -> (p, approximate ~config:inner p)) programs
+      in
+      with_source src (fun source ->
+          let keep_for name =
+            List.fold_left
+              (fun acc (p, report) ->
+                if String.equal p.Program.dataset name then begin
+                  let ds = Kondo_h5.File.find source name in
+                  Interval_set.union acc
+                    (keep_intervals p report.approx ~layout:ds.Kondo_h5.Dataset.layout)
+                end
+                else acc)
+              Interval_set.empty reports
+          in
+          write_debloated dst ~source ~keep:keep_for);
       List.map (fun (p, report) -> (p.Program.name, report)) reports)
 
 let debloat_image ~config p ~image ~dst =
-  let report = approximate ~config p in
-  match Kondo_container.Image.data_content image ~dst with
-  | None -> raise Not_found
-  | Some content ->
-    let tmp_src = Filename.temp_file "kondo_full" ".kh5" in
-    let tmp_dst = Filename.temp_file "kondo_debloat" ".kh5" in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Sys.remove tmp_src with Sys_error _ -> ());
-        try Sys.remove tmp_dst with Sys_error _ -> ())
-      (fun () ->
-        let oc = open_out_bin tmp_src in
-        output_bytes oc content;
-        close_out oc;
-        let source = Kondo_h5.File.open_file tmp_src in
+  span "pipeline.debloat_image"
+    ~args:[ ("program", p.Program.name) ]
+    (fun () ->
+      let report = approximate ~config p in
+      match Kondo_container.Image.data_content image ~dst with
+      | None -> raise Not_found
+      | Some content ->
+        let tmp_src = Filename.temp_file "kondo_full" ".kh5" in
+        let tmp_dst = Filename.temp_file "kondo_debloat" ".kh5" in
         Fun.protect
-          ~finally:(fun () -> Kondo_h5.File.close source)
+          ~finally:(fun () ->
+            (try Sys.remove tmp_src with Sys_error _ -> ());
+            try Sys.remove tmp_dst with Sys_error _ -> ())
           (fun () ->
-            let ds = Kondo_h5.File.find source p.Program.dataset in
-            let keep_set = keep_intervals p report.approx ~layout:ds.Kondo_h5.Dataset.layout in
-            Kondo_h5.Writer.write_debloated tmp_dst ~source ~keep:(fun name ->
-                if String.equal name p.Program.dataset then keep_set else Interval_set.empty));
-        let ic = open_in_bin tmp_dst in
-        let len = in_channel_length ic in
-        let debloated = Bytes.create len in
-        really_input ic debloated 0 len;
-        close_in ic;
-        (Kondo_container.Image.replace_data image ~dst debloated, report))
+            span "pipeline.stage" (fun () ->
+                let oc = open_out_bin tmp_src in
+                output_bytes oc content;
+                close_out oc);
+            write_one p report.approx ~src:tmp_src ~dst:tmp_dst;
+            span "pipeline.stage" (fun () ->
+                let ic = open_in_bin tmp_dst in
+                let len = in_channel_length ic in
+                let debloated = Bytes.create len in
+                really_input ic debloated 0 len;
+                close_in ic;
+                (Kondo_container.Image.replace_data image ~dst debloated, report))))

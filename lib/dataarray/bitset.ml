@@ -41,6 +41,20 @@ let popcount_byte =
   done;
   fun b -> table.(b)
 
+let set_range t lo hi =
+  if lo < 0 || hi > t.capacity || lo > hi then invalid_arg "Bitset.set_range: out of range";
+  let added = ref 0 and i = ref lo in
+  while !i < hi do
+    let j = !i lsr 3 in
+    let upto = min 8 (hi - (j lsl 3)) in
+    let mask = ((1 lsl upto) - 1) land lnot ((1 lsl (!i land 7)) - 1) in
+    let b = Char.code (Bytes.unsafe_get t.buf j) in
+    added := !added + popcount_byte (mask land lnot b);
+    Bytes.unsafe_set t.buf j (Char.unsafe_chr (b lor mask));
+    i := (j + 1) lsl 3
+  done;
+  t.cardinal <- t.cardinal + !added
+
 let union_into dst src =
   if dst.capacity <> src.capacity then invalid_arg "Bitset.union_into: capacity mismatch";
   let n = Bytes.length dst.buf in

@@ -11,6 +11,9 @@ val create : int -> t
 
 val capacity : t -> int
 val set : t -> int -> unit
+val set_range : t -> int -> int -> unit
+(** [set_range t lo hi] sets every bit of [\[lo, hi)], a byte at a time. *)
+
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int

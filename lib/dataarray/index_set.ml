@@ -15,6 +15,14 @@ let add_if_in_bounds t idx =
   end
   else false
 
+let add_run t start len =
+  let last = Shape.rank t.shape - 1 in
+  if len < 0 || not (Shape.in_bounds t.shape start)
+     || start.(last) + len > (Shape.dims t.shape).(last)
+  then invalid_arg "Index_set.add_run: out of bounds";
+  let base = Shape.linearize t.shape start in
+  Bitset.set_range t.bits base (base + len)
+
 let add_slab ?(clip = true) t slab =
   if clip then Hyperslab.iter ~clip:t.shape slab (fun idx -> add t idx)
   else Hyperslab.iter slab (fun idx -> add t idx)

@@ -17,6 +17,11 @@ val add : t -> int array -> unit
 val add_if_in_bounds : t -> int array -> bool
 (** Returns whether the index was in bounds (and hence added). *)
 
+val add_run : t -> int array -> int -> unit
+(** [add_run t start len] adds [start] and the [len - 1] indices after it
+    along the last axis — one contiguous range of the row-major order.
+    Out-of-bounds runs raise [Invalid_argument]. *)
+
 val add_slab : ?clip:bool -> t -> Hyperslab.t -> unit
 (** Add every index of a hyperslab selection; with [~clip:true] (default)
     out-of-bounds indices are silently skipped. *)

@@ -30,5 +30,8 @@ val iter_lattice : t -> (int array -> unit) -> unit
     [int array] buffer is reused between calls; callers must copy it if
     they retain it. *)
 
+val lattice_bounds : t -> int array * int array
+(** Per-axis inclusive integer range [iter_lattice] walks (fresh arrays). *)
+
 val lattice_count : t -> int
 (** Number of integer points [iter_lattice] would visit. *)

@@ -176,15 +176,6 @@ let measure t =
   | Flat f -> Hull2d.area f.poly
   | Poly3 h -> Hull3d.volume h
 
-let iter_lattice t f =
-  let buf_ok p = contains ~eps:1e-6 t (Vec.of_int_point p) in
-  Bbox.iter_lattice (bbox t) (fun ip -> if buf_ok ip then f ip)
-
-let lattice_count t =
-  let n = ref 0 in
-  iter_lattice t (fun _ -> incr n);
-  !n
-
 type halfspace = { coeffs : float array; equality : bool; rhs : float }
 
 let le coeffs rhs = { coeffs; equality = false; rhs }
@@ -269,6 +260,106 @@ let satisfies_halfspaces ?(eps = geom_eps) constraints p =
       let tol = eps *. (1.0 +. Vec.norm h.coeffs) in
       if h.equality then Float.abs v <= tol *. 10.0 else v <= tol)
     constraints
+
+(* Lattice membership is [contains ~eps:lattice_eps]. *)
+let lattice_eps = 1e-6
+
+(* Row candidates relax every halfspace by [row_slack * max 1 |c|_1].
+   [contains ~eps:lattice_eps] accepts a violation of at most
+   [10 * lattice_eps * max 1 |c|_1] on every hull kind (the factor 10 is
+   the plane test of [Flat]), so a relaxed row covers all of its member
+   lattice points, with two orders of magnitude to spare for rounding. *)
+let row_slack = 1e-3
+
+type scan = { rows : int; contains_calls : int }
+
+let iter_rows ?dims t f =
+  let d = t.dim and last = t.dim - 1 in
+  let lo, hi = Bbox.lattice_bounds (bbox t) in
+  (match dims with
+  | None -> ()
+  | Some dims ->
+    if Array.length dims <> d then invalid_arg "Hull.iter_rows: rank mismatch";
+    for k = 0 to last do
+      lo.(k) <- max lo.(k) 0;
+      hi.(k) <- min hi.(k) (dims.(k) - 1)
+    done);
+  let hs = Array.of_list (halfspaces t) in
+  let slack =
+    Array.map
+      (fun h -> row_slack *. Float.max 1.0 (Array.fold_left (fun a c -> a +. Float.abs c) 0.0 h.coeffs))
+      hs
+  in
+  let idx = Array.copy lo and p = Array.map float_of_int lo in
+  let rows = ref 0 and calls = ref 0 in
+  let mem v =
+    incr calls;
+    p.(last) <- float_of_int v;
+    contains ~eps:lattice_eps t p
+  in
+  (* Each hull kind is convex, so a row's members form one interval inside
+     the relaxed candidate; [contains] moves each end onto it exactly. *)
+  let scan_row () =
+    incr rows;
+    let tlo = ref (float_of_int lo.(last)) and thi = ref (float_of_int hi.(last)) in
+    for i = 0 to Array.length hs - 1 do
+      let h = hs.(i) and r = slack.(i) in
+      let s = ref h.rhs in
+      for k = 0 to last - 1 do
+        s := !s -. (h.coeffs.(k) *. p.(k))
+      done;
+      let a = h.coeffs.(last) in
+      (* a*t <= s + r, and for an equality also a*t >= s - r *)
+      if a = 0.0 then begin
+        if !s +. r < 0.0 || (h.equality && !s -. r > 0.0) then tlo := infinity
+      end
+      else begin
+        let up = (!s +. r) /. a in
+        let down = if h.equality then (!s -. r) /. a else if a > 0.0 then neg_infinity else infinity in
+        let b_lo = if a > 0.0 then down else up and b_hi = if a > 0.0 then up else down in
+        if b_lo > !tlo then tlo := b_lo;
+        if b_hi < !thi then thi := b_hi
+      end
+    done;
+    if !tlo <= !thi then begin
+      let l = ref (int_of_float (Float.ceil !tlo)) and h = ref (int_of_float (Float.floor !thi)) in
+      while !l <= !h && not (mem !l) do
+        incr l
+      done;
+      while !h > !l && not (mem !h) do
+        decr h
+      done;
+      if !l <= !h then begin
+        idx.(last) <- !l;
+        f idx !l !h
+      end
+    end
+  in
+  let rec walk axis =
+    if axis = last then scan_row ()
+    else
+      for v = lo.(axis) to hi.(axis) do
+        idx.(axis) <- v;
+        p.(axis) <- float_of_int v;
+        walk (axis + 1)
+      done
+  in
+  if Array.for_all2 ( <= ) lo hi then walk 0;
+  { rows = !rows; contains_calls = !calls }
+
+let iter_lattice t f =
+  let last = t.dim - 1 in
+  ignore
+    (iter_rows t (fun idx l h ->
+         for v = l to h do
+           idx.(last) <- v;
+           f idx
+         done))
+
+let lattice_count t =
+  let n = ref 0 in
+  ignore (iter_rows t (fun _ l h -> n := !n + (h - l + 1)));
+  !n
 
 let pp fmt t =
   let kind =

@@ -56,13 +56,6 @@ val merge : t -> t -> t
 val measure : t -> float
 (** Length / area / volume according to {!affine_dim} (0 for a point). *)
 
-val iter_lattice : t -> (int array -> unit) -> unit
-(** Visit every integer point inside the hull (boundary inclusive).  The
-    buffer passed to the callback is reused; copy to retain. *)
-
-val lattice_count : t -> int
-(** Number of integer points inside the hull. *)
-
 type halfspace = {
   coeffs : float array;
   equality : bool;  (** true: [coeffs·x = rhs]; false: [coeffs·x <= rhs] *)
@@ -79,5 +72,32 @@ val halfspaces : t -> halfspace list
 val satisfies_halfspaces : ?eps:float -> halfspace list -> float array -> bool
 (** Check the constraint conjunction directly (matches {!contains} on the
     hull the constraints came from). *)
+
+type scan = {
+  rows : int;            (** lattice rows examined *)
+  contains_calls : int;  (** {!contains} evaluations made to fix row ends *)
+}
+
+val iter_rows : ?dims:int array -> t -> (int array -> int -> int -> unit) -> scan
+(** [iter_rows ~dims h f] visits the integer points of the hull's bounding
+    box that satisfy [contains ~eps:1e-6], one row along the last axis at
+    a time: [f idx lo hi] means that the points agreeing with [idx] on
+    every other axis and with last coordinate in [\[lo, hi\]] are inside,
+    and no other point of that row is.  [idx.(dim - 1) = lo] on entry;
+    the buffer is reused.  Rows with no member are skipped.  With [dims]
+    the walk is clipped to [\[0, dims.(k))] on every axis.
+
+    Each row costs one pass over {!halfspaces}, relaxed slightly so that
+    the candidate run covers every member, plus the [contains] calls that
+    move the two ends onto the members; convexity makes the members one
+    run. *)
+
+val iter_lattice : t -> (int array -> unit) -> unit
+(** Visit every integer point inside the hull (boundary inclusive), in
+    row-major order, row by row through {!iter_rows}.  The buffer passed
+    to the callback is reused; copy to retain. *)
+
+val lattice_count : t -> int
+(** Number of integer points inside the hull. *)
 
 val pp : Format.formatter -> t -> unit

@@ -24,6 +24,7 @@ let parse_header port =
   let header_len = Binio.read_u32 c in
   let n = Binio.read_u32 c in
   if header_len < 12 then raise (Binio.Corrupt "bad header length");
+  if header_len > port.Io_port.size () then raise (Binio.Corrupt "truncated header");
   let rest = port.Io_port.pread 12 (header_len - 12) in
   (n, Binio.cursor rest)
 
@@ -56,18 +57,28 @@ let parse_entry c =
       (* each run needs 16 header bytes: reject counts the header cannot hold
          before allocating *)
       if nruns * 16 > Binio.remaining c then raise (Binio.Corrupt "bad run count");
-      let packed = ref 0 in
+      (* Runs are non-empty, ascending, disjoint, element-aligned, inside
+         the logical section, and pack exactly [stored_len] bytes, or a
+         shifted run would serve its neighbours' bytes silently. *)
+      let esz = Dtype.size dtype in
+      let limit = Layout.storage_nelems layout shape * esz in
+      let packed = ref 0 and prev_hi = ref 0 in
       let runs =
         Array.init nruns (fun _ ->
             let lo = Binio.read_u64 c in
             let hi = Binio.read_u64 c in
-            if hi < lo then raise (Binio.Corrupt "bad run");
+            if hi <= lo then raise (Binio.Corrupt "empty run");
+            if lo < !prev_hi then raise (Binio.Corrupt "unsorted or overlapping runs");
+            if lo mod esz <> 0 || hi mod esz <> 0 then raise (Binio.Corrupt "misaligned run");
+            if hi > limit then raise (Binio.Corrupt "run outside the dataset");
             let r = (lo, hi, !packed) in
             packed := !packed + (hi - lo);
+            prev_hi := hi;
             r)
       in
+      if !packed <> stored_len then raise (Binio.Corrupt "runs do not fill the stored section");
       let keep =
-        Interval_set.of_list
+        Interval_set.of_sorted
           (Array.to_list (Array.map (fun (lo, hi, _) -> Interval.make lo hi) runs))
       in
       (Dataset.Sparse keep, runs)

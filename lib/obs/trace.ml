@@ -80,6 +80,19 @@ let instant t ?(cat = "kondo") ?(args = []) name =
       ev_args = args;
       seq = 0 }
 
+let span_totals t =
+  let tbl = Hashtbl.create 16 in
+  Mutex.lock t.lock;
+  List.iter
+    (fun ev ->
+      if ev.ph = Complete then begin
+        let s, n = Option.value ~default:(0.0, 0) (Hashtbl.find_opt tbl ev.ev_name) in
+        Hashtbl.replace tbl ev.ev_name (s +. (ev.dur_us /. 1e6), n + 1)
+      end)
+    t.events;
+  Mutex.unlock t.lock;
+  List.sort compare (Hashtbl.fold (fun name (s, n) acc -> (name, s, n) :: acc) tbl [])
+
 let event_count t =
   Mutex.lock t.lock;
   let n = List.length t.events in
@@ -101,16 +114,20 @@ let sorted_events t =
       | c -> c)
     evs
 
+(* Fixed-point microseconds: epoch timestamps need 16 significant digits,
+   which [Jsonw.number]'s 12 would round to tens of milliseconds. *)
+let us_json v = if Float.is_integer v then Printf.sprintf "%.1f" v else Printf.sprintf "%.3f" v
+
 let event_json ev =
   let base =
     [ ("name", Jsonw.str ev.ev_name);
       ("cat", Jsonw.str ev.ev_cat);
       ("ph", Jsonw.str (match ev.ph with Complete -> "X" | Instant -> "i"));
-      ("ts", Jsonw.number ev.ts_us);
+      ("ts", us_json ev.ts_us);
       ("pid", "0");
       ("tid", string_of_int ev.tid) ]
   in
-  let dur = match ev.ph with Complete -> [ ("dur", Jsonw.number ev.dur_us) ] | Instant -> [] in
+  let dur = match ev.ph with Complete -> [ ("dur", us_json ev.dur_us) ] | Instant -> [] in
   let scope = match ev.ph with Instant -> [ ("s", Jsonw.str "t") ] | Complete -> [] in
   let args =
     match ev.ev_args with

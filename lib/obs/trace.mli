@@ -32,6 +32,10 @@ val instant : t -> ?cat:string -> ?args:(string * string) list -> string -> unit
 
 val event_count : t -> int
 
+val span_totals : t -> (string * float * int) list
+(** Per span name, sorted by name: total seconds and number of completed
+    spans — the per-layer split of everything recorded so far. *)
+
 val to_chrome_json : t -> string
 (** [{"traceEvents":[...]}] — completed spans as ["ph":"X"] events with
     microsecond [ts]/[dur], instants as ["ph":"i"]; events sorted by

@@ -138,6 +138,8 @@ let insert s id data =
     evict_to_budget s
   end
 
+(* The LRU touch and hit/miss accounting of one lookup.  The cached
+   bytes are shared: callers copy what they hand out, under the lock. *)
 let lookup s id =
   match Hashtbl.find_opt s.tbl id with
   | Some n ->
@@ -145,7 +147,7 @@ let lookup s id =
     push_front s n;
     s.hits <- s.hits + 1;
     Cache_obs.inc Cache_obs.hits;
-    Some (Bytes.copy n.data)
+    Some n.data
   | None ->
     s.misses <- s.misses + 1;
     Cache_obs.inc Cache_obs.misses;
@@ -157,7 +159,16 @@ let locked lock f =
 
 let get t id =
   let s = shard_of t id in
-  locked s.lock (fun () -> lookup s id)
+  locked s.lock (fun () -> Option.map Bytes.copy (lookup s id))
+
+let read_into t id ~src_off dst ~dst_off ~len =
+  let s = shard_of t id in
+  locked s.lock (fun () ->
+      match lookup s id with
+      | Some data ->
+        Bytes.blit data src_off dst dst_off len;
+        true
+      | None -> false)
 
 let put t id data =
   let s = shard_of t id in
@@ -168,6 +179,7 @@ let get_or_fetch t id ~fetch =
   Mutex.lock s.lock;
   match lookup s id with
   | Some data ->
+    let data = Bytes.copy data in
     Mutex.unlock s.lock;
     Ok data
   | None -> (

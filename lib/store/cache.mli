@@ -35,6 +35,14 @@ val budget : t -> int
 val shard_count : t -> int
 
 val get : t -> Chunk.id -> bytes option
+val read_into : t -> Chunk.id -> src_off:int -> bytes -> dst_off:int -> len:int -> bool
+(** [read_into t id ~src_off dst ~dst_off ~len] is {!get} that copies only
+    [len] bytes of the cached chunk, from [src_off], into [dst] at
+    [dst_off], under the shard lock.  Returns whether it hit; hit and miss
+    accounting is that of {!get}.
+    @raise Invalid_argument when the slice is outside the chunk or [dst]
+    (after counting the hit). *)
+
 val put : t -> Chunk.id -> bytes -> unit
 
 val get_or_fetch :

@@ -249,27 +249,35 @@ let read_bytes t m ~offset ~length =
     let c0 = Chunk.chunk_of_offset m offset in
     let c1 = Chunk.chunk_of_offset m (offset + length - 1) in
     let n = c1 - c0 + 1 in
-    let chunks = Array.make n None in
-    (* consult the local chunk cache first *)
+    let out = Bytes.create length in
+    (* (offset in the chunk, offset in [out], length) of chunk [c0 + i]'s
+       part of the request *)
+    let slice i =
+      let coff, clen = Chunk.chunk_span m (c0 + i) in
+      let lo = max offset coff and hi = min (offset + length) (coff + clen) in
+      (lo - coff, lo - offset, hi - lo)
+    in
+    let have = Array.make n false in
+    (* consult the local chunk cache first, copying only the slice *)
     (match t.cache with
     | None -> ()
     | Some cache ->
       for i = 0 to n - 1 do
-        match Cache.get cache m.Chunk.ids.(c0 + i) with
-        | Some b ->
+        let src_off, dst_off, len = slice i in
+        if Cache.read_into cache m.Chunk.ids.(c0 + i) ~src_off out ~dst_off ~len then begin
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           Cl_obs.inc Cl_obs.cache_hits;
-          chunks.(i) <- Some b
-        | None -> ()
+          have.(i) <- true
+        end
       done);
     (* one range GET per contiguous run of misses: adjacent-offset
        misses travel in a single BATCH message *)
     let rec fill i =
       if i >= n then Ok ()
-      else if chunks.(i) <> None then fill (i + 1)
+      else if have.(i) then fill (i + 1)
       else begin
         let j = ref i in
-        while !j < n && chunks.(!j) = None do
+        while !j < n && not have.(!j) do
           incr j
         done;
         match fetch_chunks t m ~first:(c0 + i) ~count:(!j - i) with
@@ -277,7 +285,8 @@ let read_bytes t m ~offset ~length =
         | Ok fetched ->
           Array.iteri
             (fun k b ->
-              chunks.(i + k) <- Some b;
+              let src_off, dst_off, len = slice (i + k) in
+              Bytes.blit b src_off out dst_off len;
               match t.cache with
               | Some cache -> Cache.put cache m.Chunk.ids.(c0 + i + k) b
               | None -> ())
@@ -285,17 +294,5 @@ let read_bytes t m ~offset ~length =
           fill !j
       end
     in
-    match fill 0 with
-    | Error err -> Error err
-    | Ok () ->
-      let out = Bytes.create length in
-      for i = 0 to n - 1 do
-        let chunk =
-          match chunks.(i) with Some b -> b | None -> assert false
-        in
-        let coff, clen = Chunk.chunk_span m (c0 + i) in
-        let lo = max offset coff and hi = min (offset + length) (coff + clen) in
-        if hi > lo then Bytes.blit chunk (lo - coff) out (lo - offset) (hi - lo)
-      done;
-      Ok out
+    match fill 0 with Error err -> Error err | Ok () -> Ok out
   end

@@ -242,6 +242,20 @@ let test_single_hull_baseline () =
     (* the single hull swallows the gap: precision loss of SC *)
     Alcotest.(check bool) "gap covered" true (Index_set.mem raster [| 27; 27 |])
 
+(* Row rasterization against the per-point walk it replaced, on the hulls
+   every suite program actually carves. *)
+let test_suite_rasterize_matches_oracle () =
+  let config = { Config.default with Config.max_iter = 300; stop_iter = 300; jobs = 1 } in
+  List.iter
+    (fun p ->
+      let fuzz = Schedule.run ~config p in
+      let hulls = (Carver.carve ~config fuzz.Schedule.indices).Carver.hulls in
+      let shape = p.Program.shape in
+      Alcotest.(check bool) (p.Program.name ^ " raster") true
+        (Index_set.equal (Carver.rasterize shape hulls) (Lattice_oracle.rasterize shape hulls)))
+    (Suite.all11 ~n:64 ~m:16 () @ Suite.extended ~m:16 ()
+    @ Suite.real ~ard_scale:32 ~msi_scale:1024 ())
+
 let arb_point_cloud =
   QCheck.(list_of_size (Gen.int_range 1 60) (pair (int_range 0 40) (int_range 0 40)))
 
@@ -440,6 +454,8 @@ let suite =
       Alcotest.test_case "carver: disjoint regions separate" `Quick
         test_carver_disjoint_regions_stay_separate;
       Alcotest.test_case "carver: rasterize covers inputs" `Quick test_carver_rasterize_covers_points;
+      Alcotest.test_case "carver: suite rasters match the per-point oracle" `Quick
+        test_suite_rasterize_matches_oracle;
       Alcotest.test_case "carver: empty input" `Quick test_carver_empty;
       Alcotest.test_case "carver: fills sandwiched gaps" `Quick test_carver_fills_sandwiched_gap;
       Alcotest.test_case "carver: merge policy strictness" `Quick test_carver_merge_policies;

@@ -251,6 +251,99 @@ let qcheck_hull_measure_le_bbox =
       let h = Hull.of_int_points (List.map (fun (x, y) -> [| x; y |]) pts) in
       Hull.measure h <= Bbox.volume (Hull.bbox h) +. 1e-6)
 
+(* ---------------- Row rasterization vs the per-point oracle ---------------- *)
+
+open Kondo_dataarray
+
+type raster_case = { dims : int array; clouds : int array list list; hull : Hull.t }
+
+(* Random hulls of every kind, clipped to a random shape that they may
+   overhang: points, segments, polygons, planar polygons and polytopes,
+   plus merges — among them merges of two clouds on one tilted plane,
+   whose [Flat] vertices are re-lifted non-integer floats. *)
+let gen_raster_case st =
+  let open QCheck.Gen in
+  let d = if bool st then 2 else 3 in
+  let dims = Array.init d (fun _ -> int_range 1 (if d = 2 then 40 else 14) st) in
+  let point () = Array.init d (fun k -> int_range (-3) (dims.(k) + 2) st) in
+  let dir () = Array.init d (fun _ -> int_range (-3) 3 st) in
+  (* lattice points a + s*u (+ t*v), s and t in [-4, 4] *)
+  let on_span a dirs n =
+    List.init n (fun _ ->
+        List.fold_left
+          (fun p u ->
+            let s = int_range (-4) 4 st in
+            Array.mapi (fun k x -> x + (s * u.(k))) p)
+          a dirs)
+  in
+  let cloud () =
+    match int_bound 3 st with
+    | 0 -> [ point () ]
+    | 1 -> on_span (point ()) [ dir () ] (int_range 2 6 st)
+    | 2 -> on_span (point ()) [ dir (); dir () ] (int_range 3 10 st)
+    | _ -> List.init (int_range 1 12 st) (fun _ -> point ())
+  in
+  let clouds =
+    match int_bound 2 st with
+    | 0 -> [ cloud () ]
+    | 1 -> [ cloud (); cloud () ]
+    | _ ->
+      let a = point () and u = dir () and v = dir () in
+      [ on_span a [ u; v ] (int_range 3 8 st); on_span a [ u; v ] (int_range 3 8 st) ]
+  in
+  let hulls = List.map Hull.of_int_points clouds in
+  { dims; clouds; hull = List.fold_left Hull.merge (List.hd hulls) (List.tl hulls) }
+
+let arb_raster_case =
+  let print c =
+    Printf.sprintf "dims %s, clouds %s, %s"
+      (QCheck.Print.(array int) c.dims)
+      (QCheck.Print.(list (list (array int))) c.clouds)
+      (Format.asprintf "%a" Hull.pp c.hull)
+  in
+  QCheck.make ~print gen_raster_case
+
+let row_points h =
+  let acc = ref [] in
+  Hull.iter_lattice h (fun ip -> acc := Array.copy ip :: !acc);
+  List.rev !acc
+
+let qcheck_rows_match_oracle =
+  QCheck.Test.make ~name:"row rasterize equals the per-point oracle" ~count:600 arb_raster_case
+    (fun c ->
+      let shape = Shape.create c.dims in
+      let oracle = Lattice_oracle.lattice_points c.hull in
+      row_points c.hull = oracle
+      && Hull.lattice_count c.hull = List.length oracle
+      && Index_set.equal
+           (Kondo_core.Carver.rasterize shape [ c.hull ])
+           (Lattice_oracle.rasterize shape [ c.hull ]))
+
+(* An edge almost along the row axis: its relaxed bound overshoots the
+   member run by ~20 lattice units, which [contains] walks back. *)
+let test_rows_grazing_edge () =
+  let h = Hull.of_int_points [ [| 0; 0 |]; [| 1; 20000 |]; [| 0; 20000 |] ] in
+  let shape = Shape.create [| 2; 20001 |] in
+  let scan = Hull.iter_rows h (fun _ _ _ -> ()) in
+  Alcotest.(check bool) "ends walked more than one step" true
+    (scan.Hull.contains_calls > 2 * scan.Hull.rows + 2);
+  Alcotest.(check bool) "same raster" true
+    (Index_set.equal (Kondo_core.Carver.rasterize shape [ h ]) (Lattice_oracle.rasterize shape [ h ]))
+
+let test_rows_merged_flat_float_vertices () =
+  (* two clouds on the plane through (5,5,5) spanned by (1,2,0), (0,1,3) *)
+  let plane s t = [| 5 + s; 5 + (2 * s) + t; 5 + (3 * t) |] in
+  let a = Hull.of_int_points [ plane 0 0; plane 3 0; plane 0 2 ] in
+  let b = Hull.of_int_points [ plane (-2) 1; plane 1 (-1); plane 2 2; plane (-1) (-1) ] in
+  let m = Hull.merge a b in
+  Alcotest.(check int) "planar" 2 (Hull.affine_dim m);
+  Alcotest.(check bool) "re-lifted vertices are not integers" true
+    (List.exists (Array.exists (fun x -> not (Float.is_integer x))) (Hull.vertices m));
+  let shape = Shape.create [| 12; 12; 16 |] in
+  Alcotest.(check bool) "same lattice" true (row_points m = Lattice_oracle.lattice_points m);
+  Alcotest.(check bool) "same raster" true
+    (Index_set.equal (Kondo_core.Carver.rasterize shape [ m ]) (Lattice_oracle.rasterize shape [ m ]))
+
 let suite =
   ( "geometry",
     [ Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -286,4 +379,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_hull3_contains_inputs;
       QCheck_alcotest.to_alcotest qcheck_merge_superset;
       QCheck_alcotest.to_alcotest qcheck_lattice_within_bbox;
-      QCheck_alcotest.to_alcotest qcheck_hull_measure_le_bbox ] )
+      QCheck_alcotest.to_alcotest qcheck_hull_measure_le_bbox;
+      QCheck_alcotest.to_alcotest qcheck_rows_match_oracle;
+      Alcotest.test_case "rows: merged flat with float vertices" `Quick
+        test_rows_merged_flat_float_vertices;
+      Alcotest.test_case "rows: grazing edge" `Quick test_rows_grazing_edge ] )

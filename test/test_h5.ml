@@ -82,6 +82,14 @@ let test_truncated_file () =
   Alcotest.check_raises "truncated" (Binio.Corrupt "truncated superblock") (fun () ->
       ignore (File.open_file path))
 
+let test_truncated_header () =
+  let path = tmp "trunc_header.kh5" in
+  Writer.write path [ (mk_dense [| 6; 7 |], fill) ];
+  let head = In_channel.with_open_bin path (fun ic -> really_input_string ic 20) in
+  Out_channel.with_open_bin path (fun oc -> output_string oc head);
+  Alcotest.check_raises "truncated" (Binio.Corrupt "truncated header") (fun () ->
+      ignore (File.open_file path))
+
 let test_read_slab_matches_elementwise () =
   let path = tmp "slab.kh5" in
   let ds = mk_dense [| 8; 8 |] in
@@ -170,6 +178,48 @@ let test_debloated_smaller () =
   Alcotest.(check int) "stored bytes = one row" (8 * 8) (Dataset.stored_bytes ds);
   File.close s;
   File.close d
+
+(* The run table of [debloated_pair ~keep_rows:[ 2; 5 ]] is (128, 192),
+   (320, 384) over a 512-byte section; [expect_bad_runs msg mutate]
+   rewrites it through [set run field value] and expects the reopen to
+   fail with [msg]. *)
+let expect_bad_runs msg mutate =
+  let _, dst = debloated_pair ~keep_rows:[ 2; 5 ] () in
+  let b = Bytes.of_string (In_channel.with_open_bin dst In_channel.input_all) in
+  let pattern = Bytes.create 16 in
+  Bytes.set_int64_le pattern 0 128L;
+  Bytes.set_int64_le pattern 8 192L;
+  let rec find i = if Bytes.sub b i 16 = pattern then i else find (i + 1) in
+  let base = find 0 in
+  mutate (fun run field v -> Bytes.set_int64_le b (base + (16 * run) + (8 * field)) (Int64.of_int v));
+  Out_channel.with_open_bin dst (fun oc -> Out_channel.output_bytes oc b);
+  Alcotest.check_raises msg (Binio.Corrupt msg) (fun () -> File.close (File.open_file dst))
+
+let test_runs_reject_empty () = expect_bad_runs "empty run" (fun set -> set 0 1 128)
+
+let test_runs_reject_unsorted () =
+  expect_bad_runs "unsorted or overlapping runs" (fun set ->
+      set 0 0 320;
+      set 0 1 384;
+      set 1 0 128;
+      set 1 1 192)
+
+let test_runs_reject_misaligned () =
+  expect_bad_runs "misaligned run" (fun set ->
+      set 0 0 129;
+      set 0 1 193)
+
+let test_runs_reject_outside () =
+  expect_bad_runs "run outside the dataset" (fun set ->
+      set 1 0 512;
+      set 1 1 576)
+
+(* Growing one run by an element used to open cleanly, verify, and serve
+   every later element from its neighbour's bytes.  A shift that keeps
+   every length (first run moved to (136, 200)) still passes all these
+   rules and stays undetectable until the header carries a checksum. *)
+let test_runs_reject_wrong_total () =
+  expect_bad_runs "runs do not fill the stored section" (fun set -> set 0 1 200)
 
 let test_debloated_roundtrip_reopen () =
   (* the sparse run table survives a write/parse cycle *)
@@ -291,6 +341,7 @@ let suite =
       Alcotest.test_case "unknown dataset" `Quick test_unknown_dataset;
       Alcotest.test_case "corrupt magic" `Quick test_corrupt_magic;
       Alcotest.test_case "truncated file" `Quick test_truncated_file;
+      Alcotest.test_case "truncated header rejected" `Quick test_truncated_header;
       Alcotest.test_case "read_slab matches element reads" `Quick test_read_slab_matches_elementwise;
       Alcotest.test_case "read_slab clips" `Quick test_read_slab_clips;
       Alcotest.test_case "dense slab reads batch" `Quick test_slab_read_batches;
@@ -299,6 +350,12 @@ let suite =
       Alcotest.test_case "debloated file raises Data_missing" `Quick test_debloated_missing_raises;
       Alcotest.test_case "debloated file is smaller" `Quick test_debloated_smaller;
       Alcotest.test_case "debloated run table reopens" `Quick test_debloated_roundtrip_reopen;
+      Alcotest.test_case "run table: empty run rejected" `Quick test_runs_reject_empty;
+      Alcotest.test_case "run table: unsorted runs rejected" `Quick test_runs_reject_unsorted;
+      Alcotest.test_case "run table: misaligned run rejected" `Quick test_runs_reject_misaligned;
+      Alcotest.test_case "run table: run past the section rejected" `Quick
+        test_runs_reject_outside;
+      Alcotest.test_case "run table: wrong total rejected" `Quick test_runs_reject_wrong_total;
       Alcotest.test_case "read_raw" `Quick test_read_raw;
       Alcotest.test_case "keep ranges align to elements" `Quick test_align_keep_rounds_to_elements;
       Alcotest.test_case "write_bytes equals file" `Quick test_write_bytes_equals_file;

@@ -143,7 +143,9 @@ let test_trace_golden_chrome_json () =
      \"ph\":\"X\",\"ts\":2000000.0,\"pid\":0,\"tid\":0,\"dur\":1000000.0,\
      \"args\":{\"k\":\"v\"}}]}"
   in
-  Alcotest.(check string) "chrome json" expected (Trace.to_chrome_json tr)
+  Alcotest.(check string) "chrome json" expected (Trace.to_chrome_json tr);
+  Alcotest.(check (list (triple string (float 1e-9) int))) "span totals"
+    [ ("a", 4.0, 1); ("b", 1.0, 1) ] (Trace.span_totals tr)
 
 let test_trace_golden_text_tree () =
   let tr = golden_trace () in
@@ -258,6 +260,13 @@ let test_debloat_identical_under_tracing () =
                ~config:(Config.with_jobs config 2)
                p ~src ~dst:dst_traced));
       Alcotest.(check bool) "spans were recorded" true (Trace.event_count tr > 0);
+      let json = Trace.to_chrome_json tr in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("span " ^ name) true
+            (contains json ("\"name\":\"" ^ name ^ "\"")))
+        [ "pipeline.debloat_file"; "pipeline.approximate"; "carve.points";
+          "pipeline.rasterize"; "pipeline.keep_intervals"; "pipeline.write" ];
       Alcotest.(check bool) "debloated outputs byte-identical" true
         (String.equal (read_file dst_plain) (read_file dst_traced)))
 

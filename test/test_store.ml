@@ -300,6 +300,94 @@ let loopback_pair ?(jobs = 1) ?(cache_bytes = 1024 * 1024) () =
   let server = Server.create ~cache_bytes ~jobs ~store:(Block_store.create ()) () in
   (server, Transport.loopback ~handle:(Server.handle server))
 
+let test_cache_read_into_copies_slice () =
+  let cache = Cache.create ~shards:2 ~budget_bytes:4096 () in
+  let twin = Cache.create ~shards:2 ~budget_bytes:4096 () in
+  let chunk = bytes_of_seed 3 256 in
+  Cache.put cache 1L chunk;
+  Cache.put twin 1L chunk;
+  let dst = Bytes.make 32 'x' in
+  Alcotest.(check bool) "hit" true (Cache.read_into cache 1L ~src_off:100 dst ~dst_off:8 ~len:16);
+  ignore (Cache.get twin 1L);
+  Alcotest.(check string) "only the slice is copied"
+    (String.make 8 'x' ^ Bytes.sub_string chunk 100 16 ^ String.make 8 'x')
+    (Bytes.to_string dst);
+  Alcotest.(check bool) "miss" false (Cache.read_into cache 2L ~src_off:0 dst ~dst_off:0 ~len:1);
+  ignore (Cache.get twin 2L);
+  (match Cache.read_into cache 1L ~src_off:250 dst ~dst_off:0 ~len:16 with
+  | _ -> Alcotest.fail "slice past the chunk accepted"
+  | exception Invalid_argument _ -> ignore (Cache.get twin 1L));
+  (* the caller owns its copy: scribbling on it leaves the cache intact *)
+  Bytes.fill dst 0 32 '\000';
+  ignore (Cache.read_into cache 1L ~src_off:0 dst ~dst_off:0 ~len:32);
+  ignore (Cache.get twin 1L);
+  Alcotest.(check string) "cached chunk unchanged" (Bytes.sub_string chunk 0 32)
+    (Bytes.to_string dst);
+  Alcotest.(check bool) "same accounting as get" true (Cache.stats cache = Cache.stats twin)
+
+(* The chunk-copying read path [Client.read_bytes] had before slices were
+   copied out of the cache: a [Cache.get] per chunk, then one range GET
+   per run of misses. *)
+let read_via_get client cache m ~offset ~length =
+  let c0 = Chunk.chunk_of_offset m offset in
+  let n = Chunk.chunk_of_offset m (offset + length - 1) - c0 + 1 in
+  let chunks = Array.init n (fun i -> Cache.get cache m.Chunk.ids.(c0 + i)) in
+  let stats = Client.stats client in
+  Array.iter (fun c -> if c <> None then stats.Client.cache_hits <- stats.Client.cache_hits + 1) chunks;
+  let i = ref 0 in
+  while !i < n do
+    if chunks.(!i) <> None then incr i
+    else begin
+      let j = ref !i in
+      while !j < n && chunks.(!j) = None do
+        incr j
+      done;
+      (match Client.fetch_chunks client m ~first:(c0 + !i) ~count:(!j - !i) with
+      | Error e -> Alcotest.fail (Fault.to_string e)
+      | Ok fetched ->
+        Array.iteri
+          (fun k b ->
+            chunks.(!i + k) <- Some b;
+            Cache.put cache m.Chunk.ids.(c0 + !i + k) b)
+          fetched);
+      i := !j
+    end
+  done;
+  let out = Bytes.create length in
+  Array.iteri
+    (fun i c ->
+      let coff, clen = Chunk.chunk_span m (c0 + i) in
+      let lo = max offset coff and hi = min (offset + length) (coff + clen) in
+      Bytes.blit (Option.get c) (lo - coff) out (lo - offset) (hi - lo))
+    chunks;
+  out
+
+let test_client_slice_reads_match_chunk_copies () =
+  let blob = bytes_of_seed 41 4000 in
+  let setup () =
+    let server, conn = loopback_pair () in
+    let m = Server.add_blob server ~chunk_size:64 ~name:"blob" blob in
+    (* room for 8 of the 63 chunks, so the sequence evicts *)
+    let cache = Cache.create ~shards:2 ~budget_bytes:512 () in
+    (m, cache, Client.connect ~cache conn)
+  in
+  let m, cache, client = setup () in
+  let m', cache', client' = setup () in
+  let rng = Kondo_prng.Rng.create 9 in
+  for _ = 1 to 400 do
+    let offset = Kondo_prng.Rng.int rng 4000 in
+    let length = 1 + Kondo_prng.Rng.int rng (min 200 (4000 - offset)) in
+    let expect = Bytes.sub blob offset length in
+    (match Client.read_bytes client m ~offset ~length with
+    | Ok b -> Alcotest.(check bool) "served bytes" true (b = expect)
+    | Error e -> Alcotest.fail (Fault.to_string e));
+    Alcotest.(check bool) "oracle bytes" true
+      (read_via_get client' cache' m' ~offset ~length = expect)
+  done;
+  Alcotest.(check bool) "client stats unchanged" true (Client.stats client = Client.stats client');
+  Alcotest.(check bool) "cache stats unchanged" true (Cache.stats cache = Cache.stats cache');
+  Alcotest.(check bool) "some reads hit the cache" true ((Client.stats client).Client.cache_hits > 0)
+
 let test_client_reads_blob () =
   let server, conn = loopback_pair () in
   let blob = bytes_of_seed 11 5000 in
@@ -835,6 +923,10 @@ let suite =
       Alcotest.test_case "cache coalesces concurrent gets" `Quick
         test_cache_coalesces_concurrent_gets;
       Alcotest.test_case "cache never caches errors" `Quick test_cache_never_caches_errors;
+      Alcotest.test_case "cache read_into copies only the slice" `Quick
+        test_cache_read_into_copies_slice;
+      Alcotest.test_case "slice reads match chunk copies" `Quick
+        test_client_slice_reads_match_chunk_copies;
       Alcotest.test_case "client reads blobs over loopback" `Quick test_client_reads_blob;
       Alcotest.test_case "batch fan-out is jobs-invariant" `Quick
         test_client_batch_parallel_server;
