@@ -5,8 +5,10 @@
    Each point writes the program's dense KH5 file, then times one
    [Pipeline.debloat_file] (Config.default, jobs = 1) from a compacted
    heap with an ambient tracer installed.  The per-layer split is the
-   tracer's span totals — schedule.run, carve.*, pipeline.rasterize,
-   pipeline.keep_intervals, pipeline.write — and [coverage] is the share
+   tracer's span totals — schedule.run, carve.points, carve.cells (the
+   per-cell hulls), carve.merge (CLOSE tests and hull merges),
+   pipeline.rasterize, pipeline.keep_intervals, pipeline.write — and
+   [coverage] is the share
    of the pipeline.debloat_file span they account for.  Next to the
    times sit counters that do not move with the machine: fuzz
    evaluations, hulls, approximated indices, lattice rows scanned and
@@ -31,7 +33,9 @@ let sweep () =
 (* Span names summed into each reported layer. *)
 let layers =
   [ ("schedule", [ "schedule.run" ]);
-    ("carve", [ "carve.points"; "carve.cells"; "carve.merge" ]);
+    ("carve.points", [ "carve.points" ]);
+    ("carve.cells", [ "carve.cells" ]);
+    ("carve.merge", [ "carve.merge" ]);
     ("rasterize", [ "pipeline.rasterize" ]);
     ("keep_intervals", [ "pipeline.keep_intervals" ]);
     ("write", [ "pipeline.write" ]) ]

@@ -43,7 +43,7 @@ end
 let close ~config h1 h2 =
   let cfg : Config.t = config in
   let center_ok () = Hull.center_distance h1 h2 <= cfg.Config.center_d_thresh in
-  let boundary_ok () = Hull.boundary_distance h1 h2 <= cfg.Config.bound_d_thresh in
+  let boundary_ok () = Hull.boundary_within h1 h2 cfg.Config.bound_d_thresh in
   match cfg.Config.merge_policy with
   | Config.Either -> center_ok () || boundary_ok ()
   | Config.Both -> center_ok () && boundary_ok ()

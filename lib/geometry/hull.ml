@@ -14,21 +14,60 @@ type shape =
   | Flat of flat
   | Poly3 of Hull3d.t
 
-type t = { dim : int; shape : shape }
+(* The vertex list, and the summaries CLOSE reads on every pair, are
+   computed once per hull. *)
+type t = {
+  dim : int;
+  shape : shape;
+  vertices : float array list;
+  centroid : float array;
+  bbox : Bbox.t;
+}
 
 let geom_eps = 1e-7
 
+(* Points are equal when every coordinate is [Float.equal], as under
+   [compare]: -0. equals 0. and NaN equals NaN, so both hash alike. *)
+let same_point a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+let point_hash p =
+  let h = ref 0 in
+  for i = 0 to Array.length p - 1 do
+    let x = p.(i) in
+    let bits =
+      if x = 0.0 then 0 else if Float.is_nan x then 1 else Int64.to_int (Int64.bits_of_float x)
+    in
+    let m = (!h lxor bits) * 0x1000193 in
+    h := m lxor (m lsr 29)
+  done;
+  let m = !h * 0x2545F4914F6CDD1D in
+  m lxor (m lsr 31)
+
+(* First occurrence of every point, in input order: an open-addressing
+   table of input positions. *)
 let dedup points =
-  let tbl = Hashtbl.create 64 in
-  List.filter
-    (fun p ->
-      let key = Array.to_list p in
-      if Hashtbl.mem tbl key then false
-      else begin
-        Hashtbl.add tbl key ();
-        true
-      end)
-    points
+  let arr = Array.of_list points in
+  let n = Array.length arr in
+  let mask =
+    let size = ref 16 in
+    while !size < 2 * n do
+      size := 2 * !size
+    done;
+    !size - 1
+  in
+  let table = Array.make (mask + 1) (-1) and first = Array.make n false in
+  for i = 0 to n - 1 do
+    let p = arr.(i) in
+    let h = ref (point_hash p land mask) in
+    while table.(!h) >= 0 && not (same_point arr.(table.(!h)) p) do
+      h := (!h + 1) land mask
+    done;
+    if table.(!h) < 0 then begin
+      table.(!h) <- i;
+      first.(i) <- true
+    end
+  done;
+  List.filteri (fun i _ -> first.(i)) points
 
 let normalize v =
   let n = Vec.norm v in
@@ -115,7 +154,15 @@ let of_points points =
       end
     end
   in
-  { dim; shape }
+  let vertices =
+    match shape with
+    | Point p -> [ p ]
+    | Segment (a, b) -> [ a; b ]
+    | Poly2 h -> Hull2d.vertices h
+    | Flat f -> f.lifted
+    | Poly3 h -> Hull3d.vertices h
+  in
+  { dim; shape; vertices; centroid = Vec.centroid vertices; bbox = Bbox.of_points vertices }
 
 let of_int_points pts = of_points (List.map Vec.of_int_point pts)
 
@@ -128,13 +175,7 @@ let affine_dim t =
   | Poly2 _ | Flat _ -> 2
   | Poly3 _ -> 3
 
-let vertices t =
-  match t.shape with
-  | Point p -> [ p ]
-  | Segment (a, b) -> [ a; b ]
-  | Poly2 h -> Hull2d.vertices h
-  | Flat f -> f.lifted
-  | Poly3 h -> Hull3d.vertices h
+let vertices t = t.vertices
 
 let segment_contains eps a b p =
   let ab = Vec.sub b a in
@@ -154,9 +195,9 @@ let contains ?(eps = geom_eps) t p =
 
 let contains_int ?eps t p = contains ?eps t (Vec.of_int_point p)
 
-let centroid t = Vec.centroid (vertices t)
+let centroid t = t.centroid
 
-let bbox t = Bbox.of_points (vertices t)
+let bbox t = t.bbox
 
 let center_distance a b = Vec.dist (centroid a) (centroid b)
 
@@ -165,6 +206,20 @@ let boundary_distance a b =
   List.fold_left
     (fun acc p -> List.fold_left (fun acc q -> Float.min acc (Vec.dist p q)) acc vb)
     infinity va
+
+(* Each coordinate gap between two boxes is at most the matching
+   coordinate difference of any two points inside them, also after
+   rounding, and [Bbox.min_dist] sums the squared gaps in [Vec.dist]'s
+   order: a box gap never exceeds the distance of a pair it bounds.  So a
+   gap over [d] between the hulls' boxes, or between a vertex and the
+   other hull's box, rules out every pair it covers exactly. *)
+let boundary_within a b d =
+  Bbox.min_dist a.bbox b.bbox <= d
+  && List.exists
+       (fun p ->
+         Bbox.min_dist (Bbox.make p p) b.bbox <= d
+         && List.exists (fun q -> Vec.dist p q <= d) b.vertices)
+       a.vertices
 
 let merge a b = of_points (vertices a @ vertices b)
 

@@ -30,16 +30,23 @@ val affine_dim : t -> int
 (** Dimension actually spanned: 0 point, 1 segment, 2 polygon, 3 polytope. *)
 
 val vertices : t -> float array list
-(** Extreme points defining the hull. *)
+(** The points that span the hull, computed once.  Not only the extreme
+    points: a polytope ({!Hull3d.vertices}) keeps, in input order, every
+    input point that became a corner of a face during its incremental
+    build, coplanar boundary points included (an 8³ lattice cube keeps
+    130, not 8).  A segment gives its two ends, a polygon its
+    counter-clockwise corners (lifted back into 3D for a planar one). *)
 
 val contains : ?eps:float -> t -> float array -> bool
 
 val contains_int : ?eps:float -> t -> int array -> bool
 
 val centroid : t -> float array
-(** Centroid of the hull vertices — the paper's hull "center" (§IV-B). *)
+(** Centroid of the hull vertices — the paper's hull "center" (§IV-B).
+    Computed once, like {!bbox}; neither may be mutated. *)
 
 val bbox : t -> Bbox.t
+(** Bounding box of {!vertices}. *)
 
 val center_distance : t -> t -> float
 (** Euclidean distance between hull centers. *)
@@ -47,6 +54,12 @@ val center_distance : t -> t -> float
 val boundary_distance : t -> t -> float
 (** Minimum pairwise distance between the vertex sets of two hulls — the
     paper's hull-boundary distance (§IV-B). *)
+
+val boundary_within : t -> t -> float -> bool
+(** [boundary_within a b d] is [boundary_distance a b <= d], decided
+    without the vertex-pair scan when the bounding boxes are farther apart
+    than [d] (the box gap is a lower bound on every pair's distance, also
+    in floating point), and stopping at the first pair within [d]. *)
 
 val merge : t -> t -> t
 (** Hull of the union of the two hulls' vertices.  Equivalent to the hull

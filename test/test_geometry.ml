@@ -249,7 +249,13 @@ let qcheck_hull_measure_le_bbox =
     (fun pts ->
       QCheck.assume (List.length pts >= 3);
       let h = Hull.of_int_points (List.map (fun (x, y) -> [| x; y |]) pts) in
-      Hull.measure h <= Bbox.volume (Hull.bbox h) +. 1e-6)
+      (* Repeated points can leave a segment, whose measure is a length:
+         bound it by the box's diagonal, not its area. *)
+      let b = Hull.bbox h in
+      let bound =
+        if Hull.affine_dim h = 1 then Vec.dist (Bbox.lo b) (Bbox.hi b) else Bbox.volume b
+      in
+      Hull.measure h <= bound +. 1e-6)
 
 (* ---------------- Row rasterization vs the per-point oracle ---------------- *)
 
@@ -344,6 +350,263 @@ let test_rows_merged_flat_float_vertices () =
   Alcotest.(check bool) "same raster" true
     (Index_set.equal (Kondo_core.Carver.rasterize shape [ m ]) (Lattice_oracle.rasterize shape [ m ]))
 
+(* ---------------- Hull3d and CLOSE vs the pre-flat-array oracle ---------------- *)
+
+module Oracle = Hull3d_oracle
+
+(* Same outcome, same vertices (same order) and same faces (same
+   triangles, orientation and order), or [Degenerate] from both. *)
+let same_hull3d pts =
+  let run f = try Ok (f pts) with Hull3d.Degenerate | Oracle.Degenerate -> Error () in
+  match (run Hull3d.of_points, run Oracle.of_points) with
+  | Ok h, Ok o -> Hull3d.vertices h = Oracle.vertices o && Hull3d.faces h = Oracle.faces o
+  | Error (), Error () -> true
+  | Ok _, Error () | Error (), Ok _ -> false
+
+let shuffle st l =
+  let tagged = List.map (fun x -> (QCheck.Gen.int_bound 1_000_000 st, x)) l in
+  List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) tagged)
+
+(* Lattice clouds with coordinates in [0, 2048]: uniform clouds, dense
+   cubes and slabs (full of coplanar and collinear points) in row-major or
+   shuffled order, and small boxes crowded with duplicates. *)
+let gen_lattice_cloud st =
+  let open QCheck.Gen in
+  let pt lo hi = [| float_of_int (int_range lo hi st); float_of_int (int_range lo hi st);
+                    float_of_int (int_range lo hi st) |] in
+  let grid ex ey ez step =
+    let o = Array.init 3 (fun _ -> int_range 0 (2048 - (step * 9)) st) in
+    let acc = ref [] in
+    for x = 0 to ex - 1 do
+      for y = 0 to ey - 1 do
+        for z = 0 to ez - 1 do
+          acc := [| float_of_int (o.(0) + (step * x)); float_of_int (o.(1) + (step * y));
+                    float_of_int (o.(2) + (step * z)) |] :: !acc
+        done
+      done
+    done;
+    let pts = List.rev !acc in
+    if bool st then pts else shuffle st pts
+  in
+  match int_bound 4 st with
+  | 0 -> List.init (int_range 4 120 st) (fun _ -> pt 0 2048)
+  | 1 ->
+    let k = int_range 2 8 st in
+    grid k k k (if bool st then 1 else int_range 1 200 st)
+  | 2 -> grid (int_range 2 9 st) (int_range 2 9 st) (int_range 1 2 st) (int_range 1 3 st)
+  | 3 ->
+    (* a slab plus a few points off it *)
+    grid (int_range 2 8 st) (int_range 2 8 st) 1 1 @ List.init (int_range 0 3 st) (fun _ -> pt 0 12)
+  | _ -> List.init (int_range 4 60 st) (fun _ -> pt 0 4)
+
+let print_cloud = QCheck.Print.(list (array float))
+
+let qcheck_hull3d_lattice_oracle =
+  QCheck.Test.make ~name:"hull3d equals the oracle on lattice clouds" ~count:400
+    (QCheck.make ~print:print_cloud gen_lattice_cloud)
+    same_hull3d
+
+(* A cube's corners, then points on one of its facets pushed off it by
+   about the visibility threshold (1e-9 in distance): whether the build
+   sees each of them, and which facet faces it may leave out of the
+   visibility test, both turn on the last digits, so this catches a
+   sealing margin that lets a face go untested while a point can see
+   it. *)
+let gen_tolerance_cloud st =
+  let open QCheck.Gen in
+  let s = float_of_int (int_range 1 2048 st) in
+  let corners =
+    List.concat_map
+      (fun x -> List.concat_map (fun y -> List.map (fun z -> [| x; y; z |]) [ 0.0; s ]) [ 0.0; s ])
+      [ 0.0; s ]
+  in
+  let axis = int_bound 2 st and side = if bool st then s else 0.0 in
+  let out = if side = 0.0 then -1.0 else 1.0 in
+  let scale = oneofl [ 4e-10; 1.2e-9; 1.4e-9; 2e-9; 1e-8; 1e-6 ] st in
+  let near () =
+    let push = out *. float_range (-0.2) 1.0 st *. scale in
+    Array.init 3 (fun k -> if k = axis then side +. push else float_range 0.0 s st)
+  in
+  corners @ List.init (int_range 1 40 st) (fun _ -> near ())
+
+let qcheck_hull3d_tolerance_oracle =
+  QCheck.Test.make ~name:"hull3d equals the oracle at the visibility tolerance" ~count:400
+    (QCheck.make ~print:print_cloud gen_tolerance_cloud)
+    same_hull3d
+
+(* A [Flat] hull's re-lifted float vertices merged with a [Poly3]'s. *)
+let gen_float_cloud st =
+  let open QCheck.Gen in
+  let plane a u v s t = Array.init 3 (fun k -> a.(k) + (s * u.(k)) + (t * v.(k))) in
+  let flat =
+    let a = Array.init 3 (fun _ -> int_range 0 40 st) in
+    let u = Array.init 3 (fun _ -> int_range (-3) 3 st)
+    and v = Array.init 3 (fun _ -> int_range (-3) 3 st) in
+    Hull.of_int_points
+      (List.init (int_range 3 12 st) (fun _ ->
+           plane a u v (int_range (-5) 5 st) (int_range (-5) 5 st)))
+  in
+  let poly =
+    Hull.of_int_points
+      (List.init (int_range 4 30 st) (fun _ -> Array.init 3 (fun _ -> int_range 0 40 st)))
+  in
+  if bool st then Hull.vertices flat @ Hull.vertices poly
+  else Hull.vertices poly @ Hull.vertices flat
+
+let qcheck_hull3d_float_oracle =
+  QCheck.Test.make ~name:"hull3d equals the oracle on flat + polytope vertices" ~count:300
+    (QCheck.make ~print:print_cloud gen_float_cloud)
+    same_hull3d
+
+(* Clouds of every affine dimension in 3D, merged left to right. *)
+let gen_merge_chain st =
+  let open QCheck.Gen in
+  let cloud () =
+    let a = Array.init 3 (fun _ -> int_range 0 60 st) in
+    let dir () = Array.init 3 (fun _ -> int_range (-4) 4 st) in
+    let span dirs n =
+      List.init n (fun _ ->
+          List.fold_left
+            (fun p u ->
+              let s = int_range (-5) 5 st in
+              Array.mapi (fun k x -> x + (s * u.(k))) p)
+            a dirs)
+    in
+    match int_bound 3 st with
+    | 0 -> [ a ]
+    | 1 -> span [ dir () ] (int_range 2 5 st)
+    | 2 -> span [ dir (); dir () ] (int_range 3 10 st)
+    | _ -> span [ dir (); dir (); dir () ] (int_range 4 25 st)
+  in
+  List.init (int_range 2 7 st) (fun _ -> cloud ())
+
+let halfspaces_of_faces faces =
+  List.map
+    (fun (a, b, c) ->
+      let normal = Vec.cross3 (Vec.sub b a) (Vec.sub c a) in
+      (normal, Vec.dot normal a))
+    faces
+
+let qcheck_merge_chain_oracle =
+  QCheck.Test.make ~name:"Hull.merge chains match the oracle hull" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list (list (array int))) gen_merge_chain)
+    (fun clouds ->
+      let hulls = List.map Hull.of_int_points clouds in
+      let step acc h =
+        let m = Hull.merge acc h in
+        let input = Oracle.dedup (Hull.vertices acc @ Hull.vertices h) in
+        let same =
+          Hull.affine_dim m < 3
+          ||
+          let o = Oracle.of_points input in
+          Hull.vertices m = Oracle.vertices o
+          && List.map (fun h -> (h.Hull.coeffs, h.Hull.rhs)) (Hull.halfspaces m)
+             = halfspaces_of_faces (Oracle.faces o)
+        in
+        if not same then QCheck.Test.fail_report "merge differs from the oracle";
+        m
+      in
+      ignore (List.fold_left step (List.hd hulls) (List.tl hulls));
+      true)
+
+(* Clouds with repeated points, -0. next to 0. among them: [Hull.of_points]
+   must drop the same repeats as the [float list]-keyed table did. *)
+let qcheck_dedup_oracle =
+  let coord = QCheck.Gen.oneofl [ -0.0; 0.0; 1.0; 2.0; 3.0; 0.5 ] in
+  let gen = QCheck.Gen.(list_size (int_range 1 40) (array_size (return 3) coord)) in
+  QCheck.Test.make ~name:"Hull.of_points drops repeats like the oracle" ~count:400
+    (QCheck.make ~print:print_cloud gen)
+    (fun pts ->
+      let h = Hull.of_points pts and input = Oracle.dedup pts in
+      if Hull.affine_dim h = 3 then
+        let o = Oracle.of_points input in
+        Hull.vertices h = Oracle.vertices o
+        && List.map (fun h -> (h.Hull.coeffs, h.Hull.rhs)) (Hull.halfspaces h)
+           = halfspaces_of_faces (Oracle.faces o)
+      else Hull.affine_dim h > 0 || Hull.vertices h = [ List.hd input ])
+
+(* CLOSE as it was: centroids folded from fresh vertex lists, then the
+   all-pairs boundary distance. *)
+let old_close (cfg : Kondo_core.Config.t) a b =
+  let open Kondo_core.Config in
+  let center_ok () =
+    Vec.dist (Vec.centroid (Hull.vertices a)) (Vec.centroid (Hull.vertices b))
+    <= cfg.center_d_thresh
+  in
+  let boundary_ok () =
+    Oracle.boundary_distance (Hull.vertices a) (Hull.vertices b) <= cfg.bound_d_thresh
+  in
+  match cfg.merge_policy with
+  | Either -> center_ok () || boundary_ok ()
+  | Both -> center_ok () && boundary_ok ()
+  | Center_only -> center_ok ()
+  | Boundary_only -> boundary_ok ()
+
+(* Two hulls of one ambient dimension, each a point, segment, polygon,
+   planar polygon or polytope, plus thresholds that are random or sit
+   exactly on the bbox gap, the boundary distance or the center distance. *)
+let gen_close_case st =
+  let open QCheck.Gen in
+  let d = if bool st then 2 else 3 in
+  let hull () =
+    let a = Array.init d (fun _ -> int_range 0 80 st) in
+    let dir () = Array.init d (fun _ -> int_range (-5) 5 st) in
+    let span dirs n =
+      List.init n (fun _ ->
+          List.fold_left
+            (fun p u ->
+              let s = int_range (-4) 4 st in
+              Array.mapi (fun k x -> x + (s * u.(k))) p)
+            a dirs)
+    in
+    Hull.of_int_points
+      (match int_bound 3 st with
+      | 0 -> [ a ]
+      | 1 -> span [ dir () ] (int_range 2 5 st)
+      | 2 -> span [ dir (); dir () ] (int_range 3 10 st)
+      | _ -> span (List.init d (fun _ -> dir ())) (int_range 4 20 st))
+  in
+  let a = hull () and b = hull () in
+  let pick () =
+    match int_bound 5 st with
+    | 0 -> Bbox.min_dist (Hull.bbox a) (Hull.bbox b)
+    | 1 -> Float.pred (Bbox.min_dist (Hull.bbox a) (Hull.bbox b))
+    | 2 -> Oracle.boundary_distance (Hull.vertices a) (Hull.vertices b)
+    | 3 -> Hull.center_distance a b
+    | _ -> float_of_int (int_range 0 60 st)
+  in
+  let merge_policy =
+    oneofl Kondo_core.Config.[ Either; Both; Center_only; Boundary_only ] st
+  in
+  let center_d_thresh = pick () and bound_d_thresh = pick () in
+  (a, b, { Kondo_core.Config.default with center_d_thresh; bound_d_thresh; merge_policy })
+
+let qcheck_close_oracle =
+  let print (a, b, (c : Kondo_core.Config.t)) =
+    Format.asprintf "%a %a center %h bound %h" Hull.pp a Hull.pp b c.center_d_thresh
+      c.bound_d_thresh
+  in
+  QCheck.Test.make ~name:"CLOSE equals the all-pairs decision" ~count:1500
+    (QCheck.make ~print gen_close_case)
+    (fun (a, b, config) -> Kondo_core.Carver.close ~config a b = old_close config a b)
+
+(* The incremental build keeps coplanar boundary points as vertices: a
+   faster hull (e.g. Quickhull, 8 vertices here) must change this on
+   purpose, because centroids and so CLOSE and the output bytes move with
+   it. *)
+let test_lattice_cube_keeps_boundary_points () =
+  let pts = ref [] in
+  for x = 7 downto 0 do
+    for y = 7 downto 0 do
+      for z = 7 downto 0 do
+        pts := [| x; y; z |] :: !pts
+      done
+    done
+  done;
+  let h = Hull.of_int_points !pts in
+  Alcotest.(check int) "polytope" 3 (Hull.affine_dim h);
+  Alcotest.(check int) "vertices of an 8^3 lattice cube" 130 (List.length (Hull.vertices h))
+
 let suite =
   ( "geometry",
     [ Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -383,4 +646,12 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_rows_match_oracle;
       Alcotest.test_case "rows: merged flat with float vertices" `Quick
         test_rows_merged_flat_float_vertices;
-      Alcotest.test_case "rows: grazing edge" `Quick test_rows_grazing_edge ] )
+      Alcotest.test_case "rows: grazing edge" `Quick test_rows_grazing_edge;
+      QCheck_alcotest.to_alcotest qcheck_hull3d_lattice_oracle;
+      QCheck_alcotest.to_alcotest qcheck_hull3d_float_oracle;
+      QCheck_alcotest.to_alcotest qcheck_hull3d_tolerance_oracle;
+      QCheck_alcotest.to_alcotest qcheck_merge_chain_oracle;
+      QCheck_alcotest.to_alcotest qcheck_dedup_oracle;
+      QCheck_alcotest.to_alcotest qcheck_close_oracle;
+      Alcotest.test_case "hull: 8^3 lattice cube keeps 130 vertices" `Quick
+        test_lattice_cube_keeps_boundary_points ] )

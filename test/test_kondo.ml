@@ -21,4 +21,5 @@ let () =
       Test_netcdf.suite;
       Test_extensions.suite;
       Test_robustness.suite;
-      Test_integration.suite ]
+      Test_integration.suite;
+      Test_golden.suite ]
