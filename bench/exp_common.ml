@@ -67,20 +67,24 @@ let precision_of p set = Metrics.precision ~truth:(Program.ground_truth p) ~appr
    so bench timing and production instrumentation share one source. *)
 let now () = Kondo_obs.Clock.now Kondo_obs.Clock.real
 
-(* Per-phase wall-time recorder: a driver wraps each phase of its
-   workload in [timed_phase] and embeds [phases_json] into its
-   BENCH_*.json doc, so the artifacts carry a per-phase breakdown next
-   to the headline numbers. *)
-type phases = { mutable phase_entries : (string * float) list (* newest first *) }
+(* Per-phase wall time: a driver runs its workload under [with_phases],
+   wraps each phase in [phase] (an ambient span named ["phase." ^ name]),
+   and embeds the returned [phase_timings] object — the phase spans'
+   totals, by name — into its BENCH_*.json doc. *)
+let phase_prefix = "phase."
 
-let new_phases () = { phase_entries = [] }
+let phase name f = Kondo_obs.Obs.span (phase_prefix ^ name) f
 
-let timed_phase ph name f =
-  let t0 = now () in
-  let v = f () in
-  ph.phase_entries <- (name, now () -. t0) :: ph.phase_entries;
-  v
-
-let phases_json ph =
-  Report.Json.Obj
-    (List.rev_map (fun (name, s) -> (name, Report.Json.Float s)) ph.phase_entries)
+let with_phases f =
+  let tr = Kondo_obs.Trace.create () in
+  Kondo_obs.Obs.set_tracer (Some tr);
+  let v = Fun.protect ~finally:(fun () -> Kondo_obs.Obs.set_tracer None) f in
+  let n = String.length phase_prefix in
+  ( v,
+    Report.Json.Obj
+      (List.filter_map
+         (fun (name, s, _) ->
+           if String.starts_with ~prefix:phase_prefix name then
+             Some (String.sub name n (String.length name - n), Report.Json.Float s)
+           else None)
+         (Kondo_obs.Trace.span_totals tr)) )

@@ -115,8 +115,6 @@ let json_path () =
 let run () =
   header "faults" "Fault-tolerant remote fetch: served reads under swept fault rates";
   let p = Stencils.cs ~n:128 1 in
-  let ph = new_phases () in
-  let src, image = timed_phase ph "build_debloated_image" (fun () -> build_debloated_image p) in
   let transient_rows =
     List.map
       (fun rate ->
@@ -129,12 +127,16 @@ let run () =
         (Printf.sprintf "transient r=%.1f" rate, spec))
       [ 0.0; 0.2; 0.4; 0.6 ]
   in
-  let rows =
-    timed_phase ph "fault_rate_sweep" (fun () ->
-        List.map
-          (fun (label, spec) -> sweep_row p image ~label ~plan_spec:spec)
-          transient_rows
-        @ [ sweep_row p image ~label:"permanent r=1.0" ~plan_spec:"seed=11,permanent=1.0" ])
+  let (src, rows), phase_timings =
+    with_phases (fun () ->
+        let src, image = phase "build_debloated_image" (fun () -> build_debloated_image p) in
+        ( src,
+          phase "fault_rate_sweep" (fun () ->
+              List.map
+                (fun (label, spec) -> sweep_row p image ~label ~plan_spec:spec)
+                transient_rows
+              @ [ sweep_row p image ~label:"permanent r=1.0"
+                    ~plan_spec:"seed=11,permanent=1.0" ]) ))
   in
   Printf.printf "  %-18s %8s %8s %8s %8s %8s %8s %9s %7s %7s\n" "plan" "served" "degraded"
     "fetches" "requests" "retries" "corrupt" "breaker" "boot" "reads";
@@ -195,7 +197,7 @@ let run () =
                      ("boot_s", Float r.boot_s);
                      ("wall_s", Float r.wall_s) ])
                rows) );
-        ("phase_timings", phases_json ph) ]
+        ("phase_timings", phase_timings) ]
   in
   let out = json_path () in
   let oc = open_out out in

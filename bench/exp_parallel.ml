@@ -70,14 +70,18 @@ let run () =
   header "parallel" "Domain-parallel fan-out: sequential vs parallel wall time";
   let recommended = Kondo_parallel.Pool.default_jobs () in
   Printf.printf "  hardware domains: %d\n%!" recommended;
-  let ph = new_phases () in
-  let t_camp_1, obs_1 = timed_phase ph "campaign_jobs1" (fun () -> campaign_workload ~jobs:1) in
-  let t_camp_4, obs_4 = timed_phase ph "campaign_jobs4" (fun () -> campaign_workload ~jobs:4) in
+  let ((t_camp_1, obs_1), (t_camp_4, obs_4), (t_many_1, many_obs_1), (t_many_4, many_obs_4)),
+      phase_timings =
+    with_phases (fun () ->
+        let camp_1 = phase "campaign_jobs1" (fun () -> campaign_workload ~jobs:1) in
+        let camp_4 = phase "campaign_jobs4" (fun () -> campaign_workload ~jobs:4) in
+        let many_1 = phase "debloat_many_jobs1" (fun () -> many_workload ~jobs:1) in
+        let many_4 = phase "debloat_many_jobs4" (fun () -> many_workload ~jobs:4) in
+        (camp_1, camp_4, many_1, many_4))
+  in
   let camp_parity = Index_set.equal obs_1 obs_4 in
   Printf.printf "  campaign (%d rounds x %d iters): jobs=1 %.2fs, jobs=4 %.2fs — %.2fx, parity %b\n%!"
     rounds campaign_iters t_camp_1 t_camp_4 (t_camp_1 /. t_camp_4) camp_parity;
-  let t_many_1, many_obs_1 = timed_phase ph "debloat_many_jobs1" (fun () -> many_workload ~jobs:1) in
-  let t_many_4, many_obs_4 = timed_phase ph "debloat_many_jobs4" (fun () -> many_workload ~jobs:4) in
   let many_parity = many_obs_1 = many_obs_4 in
   Printf.printf "  debloat_file_many (4 programs): jobs=1 %.2fs, jobs=4 %.2fs — %.2fx, parity %b\n%!"
     t_many_1 t_many_4 (t_many_1 /. t_many_4) many_parity;
@@ -108,7 +112,7 @@ let run () =
                 (Printf.sprintf "campaign_%dx%d" rounds campaign_iters)
                 t_camp_1 t_camp_4 camp_parity;
               workload "debloat_file_many_4p" t_many_1 t_many_4 many_parity ] );
-        ("phase_timings", phases_json ph) ]
+        ("phase_timings", phase_timings) ]
   in
   let out = json_path () in
   let oc = open_out out in

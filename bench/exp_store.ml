@@ -103,12 +103,13 @@ let json_path () =
 let run () =
   header "store" "Content-addressed store: cache budget sweep over an under-debloated CS1";
   let p = Stencils.cs ~n:128 1 in
-  let ph = new_phases () in
-  let src, image = timed_phase ph "build_debloated_image" (fun () -> build_debloated_image p) in
   let budgets = [ 0; 16 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024 ] in
-  let rows =
-    timed_phase ph "cache_budget_sweep" (fun () ->
-        List.map (fun b -> sweep_row p image ~src ~cache_bytes:b) budgets)
+  let (src, rows), phase_timings =
+    with_phases (fun () ->
+        let src, image = phase "build_debloated_image" (fun () -> build_debloated_image p) in
+        ( src,
+          phase "cache_budget_sweep" (fun () ->
+              List.map (fun b -> sweep_row p image ~src ~cache_bytes:b) budgets) ))
   in
   Printf.printf "  %-12s %8s %8s %8s %9s %9s %9s %7s\n" "cache" "served" "fetches" "chunks"
     "hits" "evicts" "hit-rate" "wall";
@@ -156,7 +157,7 @@ let run () =
                      ("cache_hit_rate", Float r.hit_rate);
                      ("wall_s", Float r.wall_s) ])
                rows) );
-        ("phase_timings", phases_json ph) ]
+        ("phase_timings", phase_timings) ]
   in
   let path = json_path () in
   let oc = open_out path in

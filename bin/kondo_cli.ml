@@ -280,25 +280,16 @@ let checksum_add acc v = Merkle.hash_pair acc (Int64.bits_of_float v)
 
 (* The counters of one store client, as [--stats-json] keys under
    [prefix]. *)
-let client_fields prefix (cs : Kondo_store.Client.stats) =
-  List.map
-    (fun (k, v) -> (prefix ^ k, v))
-    [ ("requests", cs.Kondo_store.Client.requests);
-      ("range_gets", cs.Kondo_store.Client.range_gets);
-      ("fetched_chunks", cs.Kondo_store.Client.fetched_chunks);
-      ("fetched_bytes", cs.Kondo_store.Client.fetched_bytes);
-      ("corrupt_fetches", cs.Kondo_store.Client.corrupt_fetches);
-      ("retries", cs.Kondo_store.Client.retries);
-      ("breaker_rejections", cs.Kondo_store.Client.breaker_rejections);
-      ("cache_hits", cs.Kondo_store.Client.cache_hits) ]
+let client_fields prefix cs =
+  List.map (fun (k, v) -> (prefix ^ k, v)) (Kondo_store.Client.stats_fields cs)
 
-let print_client label (cs : Kondo_store.Client.stats) =
+let print_client label cs =
+  let v k = List.assoc k (Kondo_store.Client.stats_fields cs) in
   Printf.printf
     "%s: %d fetched chunks over %d range GETs, %d corrupt, %d retries, %d breaker \
      rejections, %d client cache hits\n"
-    label cs.Kondo_store.Client.fetched_chunks cs.Kondo_store.Client.range_gets
-    cs.Kondo_store.Client.corrupt_fetches cs.Kondo_store.Client.retries
-    cs.Kondo_store.Client.breaker_rejections cs.Kondo_store.Client.cache_hits
+    label (v "fetched_chunks") (v "range_gets") (v "corrupt_fetches") (v "retries")
+    (v "breaker_rejections") (v "cache_hits")
 
 (* Run the program's access plan through the hardened container runtime:
    local reads from [path], carved-away offsets served by the chunk
@@ -376,7 +367,8 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
             ("server_cache_coalesced", i.Kondo_store.Proto.cache_coalesced) ]
         | Error _ -> []
       in
-      client_fields "client_" cs @ server_counters
+      (* after the STAT round trip, which the client counts as a request *)
+      client_fields "client_" (Kondo_store.Client.stats c) @ server_counters
   in
   let remote_fields =
     match remote with

@@ -1,37 +1,3 @@
-type backend = {
-  b_put : int64 -> bytes -> bool;
-  b_get : int64 -> bytes option;
-  b_remove : int64 -> int;
-  b_hashes : unit -> int64 list;
-  b_count : unit -> int;
-  b_bytes : unit -> int;
-}
-
-let memory_backend () =
-  let tbl : (int64, bytes) Hashtbl.t = Hashtbl.create 256 in
-  let bytes = ref 0 in
-  { b_put =
-      (fun h c ->
-        if Hashtbl.mem tbl h then false
-        else begin
-          Hashtbl.add tbl h (Bytes.copy c);
-          bytes := !bytes + Bytes.length c;
-          true
-        end);
-    b_get = (fun h -> Option.map Bytes.copy (Hashtbl.find_opt tbl h));
-    b_remove =
-      (fun h ->
-        match Hashtbl.find_opt tbl h with
-        | None -> 0
-        | Some c ->
-          Hashtbl.remove tbl h;
-          bytes := !bytes - Bytes.length c;
-          Bytes.length c);
-    b_hashes =
-      (fun () -> List.sort Int64.compare (Hashtbl.fold (fun h _ acc -> h :: acc) tbl []));
-    b_count = (fun () -> Hashtbl.length tbl);
-    b_bytes = (fun () -> !bytes) }
-
 type stored_layer =
   | Stored_env of { cmd : string; bytes : int }
   | Stored_data of { dst : string; size : int; chunks : int64 list }
@@ -39,13 +5,21 @@ type stored_layer =
 type manifest = { spec : Spec.t; layers : stored_layer list }
 
 type t = {
-  chunks : backend;
+  chunks : (int64, bytes) Hashtbl.t;
+  mutable bytes : int; (* payload bytes in [chunks] *)
   manifests : (string, manifest) Hashtbl.t;
 }
 
-let create ?backend () =
-  let chunks = match backend with Some b -> b | None -> memory_backend () in
-  { chunks; manifests = Hashtbl.create 8 }
+let create () = { chunks = Hashtbl.create 256; bytes = 0; manifests = Hashtbl.create 8 }
+
+(* Store a chunk under its hash; [true] when it was new. *)
+let put_chunk t h c =
+  if Hashtbl.mem t.chunks h then false
+  else begin
+    Hashtbl.add t.chunks h c;
+    t.bytes <- t.bytes + Bytes.length c;
+    true
+  end
 
 let push t ~name image =
   let added = ref 0 in
@@ -59,7 +33,7 @@ let push t ~name image =
             List.map
               (fun c ->
                 if
-                  t.chunks.b_put c.Merkle.hash
+                  put_chunk t c.Merkle.hash
                     (Bytes.sub d.content c.Merkle.offset c.Merkle.length)
                 then added := !added + c.Merkle.length;
                 c.Merkle.hash)
@@ -92,7 +66,7 @@ let pull t ~name ~have =
           List.iter
             (fun h ->
               let chunk =
-                match t.chunks.b_get h with
+                match Hashtbl.find_opt t.chunks h with
                 | Some c -> c
                 | None -> failwith "Registry: dangling chunk"
               in
@@ -109,9 +83,9 @@ let pull t ~name ~have =
 let manifest_names t =
   List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.manifests [])
 
-let chunk_count t = t.chunks.b_count ()
+let chunk_count t = Hashtbl.length t.chunks
 
-let stored_bytes t = t.chunks.b_bytes ()
+let stored_bytes t = t.bytes
 
 let chunks_of t ~name =
   let m = find_manifest t name in
@@ -136,10 +110,15 @@ let gc t ~keep =
       Merkle.HashSet.empty kept_manifests
   in
   let reclaimed = ref 0 in
-  List.iter
-    (fun h ->
-      if not (Merkle.HashSet.mem h live) then reclaimed := !reclaimed + t.chunks.b_remove h)
-    (t.chunks.b_hashes ());
+  Hashtbl.filter_map_inplace
+    (fun h c ->
+      if Merkle.HashSet.mem h live then Some c
+      else begin
+        reclaimed := !reclaimed + Bytes.length c;
+        None
+      end)
+    t.chunks;
+  t.bytes <- t.bytes - !reclaimed;
   Hashtbl.reset t.manifests;
   List.iter (fun (name, m) -> Hashtbl.replace t.manifests name m) kept_manifests;
   !reclaimed

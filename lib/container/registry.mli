@@ -6,31 +6,11 @@
     across images and versions, and a pull transfers only the chunks the
     client does not already hold.  This is what makes shipping a
     debloated image next to the original cheap: the kept data chunks are
-    shared.
-
-    Chunk storage is pluggable: the default {!memory_backend} is an
-    in-process table, while [Kondo_store.Block_store.registry_backend]
-    routes every push/pull chunk through the sharded, disk-backed block
-    store — the registry and the serve/fetch runtime then share one
-    content-addressed chunk universe. *)
-
-type backend = {
-  b_put : int64 -> bytes -> bool;   (** store under an id; [true] when new *)
-  b_get : int64 -> bytes option;
-  b_remove : int64 -> int;          (** bytes reclaimed (0 when absent) *)
-  b_hashes : unit -> int64 list;
-  b_count : unit -> int;
-  b_bytes : unit -> int;
-}
-(** The chunk-storage interface a registry writes through. *)
-
-val memory_backend : unit -> backend
-(** A fresh in-memory chunk table (the historical behaviour). *)
+    shared.  Chunks live in an in-process table. *)
 
 type t
 
-val create : ?backend:backend -> unit -> t
-(** Defaults to a fresh {!memory_backend}. *)
+val create : unit -> t
 
 val push : t -> name:string -> Image.t -> int
 (** Store an image under [name]; returns the bytes of {e new} chunks

@@ -19,19 +19,18 @@ open Kondo_audit
     an arbitrary leaked exception. *)
 
 type stats = {
-  mutable reads : int;          (** element reads served *)
-  mutable misses : int;         (** reads that hit carved-away data *)
-  mutable store_fetches : int;  (** misses satisfied by the store source *)
-  mutable store_bytes : int;    (** bytes served by the store source *)
-  mutable degraded_reads : int; (** misses the store source could not serve *)
+  reads : int;          (** element reads served *)
+  misses : int;         (** reads that hit carved-away data *)
+  store_fetches : int;  (** misses satisfied by the store source *)
+  store_bytes : int;    (** bytes served by the store source *)
+  degraded_reads : int; (** misses the store source could not serve *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-(** Human-readable one-count-per-line rendering (for [kondo run] and
-    [kondo report]). *)
+val stats_fields : stats -> (string * int) list
+(** The stats as [(field name, value)] pairs, in declaration order. *)
 
 val stats_to_json : ?extra:(string * int) list -> stats -> string
-(** The stats as a JSON object; [extra] appends counters from
+(** {!stats_fields} as a JSON object; [extra] appends counters from
     surrounding layers (store clients, caches) to the same object. *)
 
 type store_source = {
@@ -78,5 +77,8 @@ val file : t -> dst:string -> Kondo_h5.File.t
     requested destination and the available mounts. *)
 
 val stats : t -> stats
+(** A snapshot of this runtime's counters.  Each is linked to a
+    process-wide [kondo_runtime_*_total] series, which sums every
+    runtime. *)
 
 val shutdown : t -> unit

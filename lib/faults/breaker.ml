@@ -1,24 +1,5 @@
 type state = Closed | Open | Half_open
 
-(* Process-wide trip/recovery/rejection counters, aggregated over every
-   breaker instance: per-instance stats stay on [t.stats], but serve- and
-   client-side hardening is also observable through the metrics registry
-   (ISSUE 5 satellite — these used to be visible only via Runtime.stats). *)
-let m_trips =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Circuit-breaker trips (any breaker)"
-       Kondo_obs.Registry.default "kondo_breaker_trips_total")
-
-let m_recoveries =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Circuit-breaker half-open recoveries (any breaker)"
-       Kondo_obs.Registry.default "kondo_breaker_recoveries_total")
-
-let m_rejections =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Calls refused by an open circuit breaker (any breaker)"
-       Kondo_obs.Registry.default "kondo_breaker_rejections_total")
-
 type config = {
   failure_threshold : int;
   cooldown_ms : float;
@@ -27,10 +8,14 @@ type config = {
 
 let default = { failure_threshold = 5; cooldown_ms = 1000.0; success_threshold = 2 }
 
-type stats = {
-  mutable trips : int;
-  mutable recoveries : int;
-  mutable rejections : int;
+type stats = { trips : int; recoveries : int; rejections : int }
+
+(* This breaker's counters, linked to the process-wide
+   [kondo_breaker_*] series. *)
+type counters = {
+  trips : Kondo_obs.Registry.counter;
+  recoveries : Kondo_obs.Registry.counter;
+  rejections : Kondo_obs.Registry.counter;
 }
 
 type t = {
@@ -39,8 +24,10 @@ type t = {
   mutable consecutive_failures : int;
   mutable half_open_successes : int;
   mutable opened_at_ms : float;
-  stats : stats;
+  n : counters;
 }
+
+let counter name help = Kondo_obs.Registry.instance ~help Kondo_obs.Registry.default name
 
 let create ?(config = default) () =
   if config.failure_threshold < 1 then invalid_arg "Breaker: failure_threshold must be >= 1";
@@ -51,10 +38,18 @@ let create ?(config = default) () =
     consecutive_failures = 0;
     half_open_successes = 0;
     opened_at_ms = 0.0;
-    stats = { trips = 0; recoveries = 0; rejections = 0 } }
+    n =
+      { trips = counter "kondo_breaker_trips_total" "Circuit-breaker trips";
+        recoveries =
+          counter "kondo_breaker_recoveries_total" "Circuit-breaker half-open recoveries";
+        rejections =
+          counter "kondo_breaker_rejections_total" "Calls refused by an open circuit breaker" } }
 
 let state t = t.state
-let stats t = t.stats
+
+let stats t : stats =
+  let v = Kondo_obs.Registry.counter_value in
+  { trips = v t.n.trips; recoveries = v t.n.recoveries; rejections = v t.n.rejections }
 
 let state_name = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"
 
@@ -63,8 +58,7 @@ let trip t ~now_ms =
   t.opened_at_ms <- now_ms;
   t.consecutive_failures <- 0;
   t.half_open_successes <- 0;
-  t.stats.trips <- t.stats.trips + 1;
-  Kondo_obs.Registry.inc (Lazy.force m_trips)
+  Kondo_obs.Registry.inc t.n.trips
 
 let allow t ~now_ms =
   match t.state with
@@ -77,8 +71,7 @@ let allow t ~now_ms =
       true
     end
     else begin
-      t.stats.rejections <- t.stats.rejections + 1;
-      Kondo_obs.Registry.inc (Lazy.force m_rejections);
+      Kondo_obs.Registry.inc t.n.rejections;
       false
     end
 
@@ -91,8 +84,7 @@ let record_success t =
       t.state <- Closed;
       t.consecutive_failures <- 0;
       t.half_open_successes <- 0;
-      t.stats.recoveries <- t.stats.recoveries + 1;
-      Kondo_obs.Registry.inc (Lazy.force m_recoveries)
+      Kondo_obs.Registry.inc t.n.recoveries
     end
   | Open -> ()
 

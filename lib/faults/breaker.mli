@@ -19,9 +19,9 @@ val default : config
 (** 5 failures, 1 s cooldown, 2 probe successes. *)
 
 type stats = {
-  mutable trips : int;       (** closed/half-open → open transitions *)
-  mutable recoveries : int;  (** half-open → closed transitions *)
-  mutable rejections : int;  (** calls refused while open *)
+  trips : int;       (** closed/half-open → open transitions *)
+  recoveries : int;  (** half-open → closed transitions *)
+  rejections : int;  (** calls refused while open *)
 }
 
 type t
@@ -31,6 +31,10 @@ val create : ?config:config -> unit -> t
 
 val state : t -> state
 val stats : t -> stats
+(** A snapshot of this breaker's counters.  Each is linked to a
+    process-wide [kondo_breaker_*_total] series, which sums every
+    breaker. *)
+
 val state_name : state -> string
 
 val allow : t -> now_ms:float -> bool

@@ -42,18 +42,6 @@ type 'a outcome = {
 
 let retries o = o.attempts - 1
 
-(* Aggregate attempt/retry counters across every Retry.run call site
-   (runtime remote fetches, store client exchanges, ...). *)
-let m_attempts =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Attempts made under Retry.run"
-       Kondo_obs.Registry.default "kondo_retry_attempts_total")
-
-let m_retries =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Retries (attempts beyond the first) under Retry.run"
-       Kondo_obs.Registry.default "kondo_retry_retries_total")
-
 let run ?on_retry p ~rng f =
   validate p;
   let rec go attempt elapsed =
@@ -73,7 +61,4 @@ let run ?on_retry p ~rng f =
         end
       end
   in
-  let outcome = go 1 0.0 in
-  Kondo_obs.Registry.inc ~by:outcome.attempts (Lazy.force m_attempts);
-  Kondo_obs.Registry.inc ~by:(retries outcome) (Lazy.force m_retries);
-  outcome
+  go 1 0.0

@@ -5,7 +5,12 @@ let shards = 16
 
 let shard_index () = (Domain.self () :> int) land (shards - 1)
 
-type counter = { c_cells : int Atomic.t array }
+(* A series keeps one cell per shard; a writer adds to its domain's
+   shard.  An instance counter is a single cell plus [link], the shard of
+   its series that belongs to the domain that created it: an increment
+   adds to both, so the instance reads its own count and the exposition
+   sees the sum over every instance, without the domain-id lookup. *)
+type counter = { cells : int Atomic.t array; link : int Atomic.t option }
 
 type gauge = { g_cell : float Atomic.t }
 
@@ -26,7 +31,9 @@ type instrument =
   | Gauge of gauge
   | Histogram of histogram
 
-type entry = { help : string; instr : instrument }
+(* One metric name: its help and its series, keyed by rendered label set
+   ([""] for the unlabelled series; only counters take labels). *)
+type entry = { help : string; mutable series : (string * instrument) list }
 
 type t = { lock : Mutex.t; tbl : (string, entry) Hashtbl.t }
 
@@ -43,36 +50,62 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
+(* [k="v",...] sorted by label name: the series key and its exposition.
+   [%S] escapes backslashes, double quotes and newlines as Prometheus
+   does; label values are ASCII. *)
+let label_text labels =
+  String.concat ","
+    (List.map
+       (fun (k, v) -> Printf.sprintf "%s=%S" k v)
+       (List.sort (fun (a, _) (b, _) -> String.compare a b) labels))
+
 (* Get-or-create under the registry lock; the first registration's help
    (and buckets) win, a kind clash is a programming error. *)
-let register t name ~help ~make ~select =
+let register ?(labels = []) t name ~help ~make ~select =
   if name = "" then invalid_arg "Registry: empty metric name";
+  let key = label_text labels in
   locked t (fun () ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some e -> (
-        match select e.instr with
-        | Some v -> v
+      let e =
+        match Hashtbl.find_opt t.tbl name with
+        | Some e -> e
         | None ->
-          invalid_arg
-            (Printf.sprintf "Registry: %s already registered as a %s" name
-               (kind_name e.instr)))
+          let e = { help; series = [] } in
+          Hashtbl.add t.tbl name e;
+          e
+      in
+      (match e.series with
+      | (_, instr) :: _ when Option.is_none (select instr) ->
+        invalid_arg
+          (Printf.sprintf "Registry: %s already registered as a %s" name (kind_name instr))
+      | _ -> ());
+      match List.assoc_opt key e.series with
+      | Some instr -> Option.get (select instr)
       | None ->
         let v, instr = make () in
-        Hashtbl.add t.tbl name { help; instr };
+        e.series <- (key, instr) :: e.series;
         v)
 
-let counter ?(help = "") t name =
-  register t name ~help
+let counter ?(help = "") ?labels t name =
+  register ?labels t name ~help
     ~make:(fun () ->
-      let c = { c_cells = Array.init shards (fun _ -> Atomic.make 0) } in
+      let c = { cells = Array.init shards (fun _ -> Atomic.make 0); link = None } in
       (c, Counter c))
     ~select:(function Counter c -> Some c | _ -> None)
 
+let instance ?help ?labels t name =
+  let series = counter ?help ?labels t name in
+  { cells = [| Atomic.make 0 |]; link = Some series.cells.(shard_index ()) }
+
 let inc ?(by = 1) c =
   if by < 0 then invalid_arg "Registry.inc: negative increment";
-  if by > 0 then ignore (Atomic.fetch_and_add c.c_cells.(shard_index ()) by)
+  if by > 0 then
+    match c.link with
+    | None -> ignore (Atomic.fetch_and_add c.cells.(shard_index ()) by)
+    | Some series ->
+      ignore (Atomic.fetch_and_add c.cells.(0) by);
+      ignore (Atomic.fetch_and_add series by)
 
-let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.c_cells
+let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
 
 let gauge ?(help = "") t name =
   register t name ~help
@@ -152,41 +185,53 @@ let histogram_buckets h =
       acc := !acc + counts.(i);
       ((if i = n then infinity else h.bounds.(i)), !acc))
 
-let sorted_entries t =
+(* Every series as (name, help, label text, instrument), sorted by name
+   then label text. *)
+let sorted_series t =
   locked t (fun () ->
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.tbl []))
+      Hashtbl.fold
+        (fun name e acc ->
+          List.fold_left (fun acc (key, instr) -> (name, e.help, key, instr) :: acc) acc e.series)
+        t.tbl [])
+  |> List.sort (fun (n1, _, k1, _) (n2, _, k2, _) ->
+         match String.compare n1 n2 with 0 -> String.compare k1 k2 | c -> c)
 
 let le_string b = if b = infinity then "+Inf" else Jsonw.number b
 
+(* [name{labels}], or the bare name for the unlabelled series. *)
+let series_name name key = if key = "" then name else name ^ "{" ^ key ^ "}"
+
 let expose t =
   let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b fmt in
+  let last = ref "" in
   List.iter
-    (fun (name, e) ->
-      if e.help <> "" then Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name e.help);
-      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name (kind_name e.instr));
-      match e.instr with
-      | Counter c -> Buffer.add_string b (Printf.sprintf "%s %d\n" name (counter_value c))
-      | Gauge g ->
-        Buffer.add_string b (Printf.sprintf "%s %s\n" name (Jsonw.number (gauge_value g)))
+    (fun (name, help, key, instr) ->
+      if name <> !last then begin
+        last := name;
+        if help <> "" then line "# HELP %s %s\n" name help;
+        line "# TYPE %s %s\n" name (kind_name instr)
+      end;
+      let sname = series_name name key in
+      match instr with
+      | Counter c -> line "%s %d\n" sname (counter_value c)
+      | Gauge g -> line "%s %s\n" sname (Jsonw.number (gauge_value g))
       | Histogram h ->
         List.iter
-          (fun (bound, cum) ->
-            Buffer.add_string b
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (le_string bound) cum))
+          (fun (bound, cum) -> line "%s_bucket{le=\"%s\"} %d\n" name (le_string bound) cum)
           (histogram_buckets h);
         let _, sum, count = histogram_merge h in
-        Buffer.add_string b (Printf.sprintf "%s_sum %s\n" name (Jsonw.number sum));
-        Buffer.add_string b (Printf.sprintf "%s_count %d\n" name count))
-    (sorted_entries t);
+        line "%s_sum %s\n" name (Jsonw.number sum);
+        line "%s_count %d\n" name count)
+    (sorted_series t);
   Buffer.contents b
 
 let to_json t =
   let counters = ref [] and gauges = ref [] and histograms = ref [] in
   List.iter
-    (fun (name, e) ->
-      match e.instr with
+    (fun (name, _, key, instr) ->
+      let name = series_name name key in
+      match instr with
       | Counter c -> counters := (name, string_of_int (counter_value c)) :: !counters
       | Gauge g -> gauges := (name, Jsonw.number (gauge_value g)) :: !gauges
       | Histogram h ->
@@ -206,7 +251,7 @@ let to_json t =
                 ("sum", Jsonw.number sum);
                 ("count", string_of_int count) ] )
           :: !histograms)
-    (sorted_entries t);
+    (sorted_series t);
   Jsonw.obj
     [ ("counters", Jsonw.obj (List.rev !counters));
       ("gauges", Jsonw.obj (List.rev !gauges));
@@ -214,9 +259,9 @@ let to_json t =
 
 let reset t =
   List.iter
-    (fun (_, e) ->
-      match e.instr with
-      | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.c_cells
+    (fun (_, _, _, instr) ->
+      match instr with
+      | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells
       | Gauge g -> Atomic.set g.g_cell 0.0
       | Histogram h ->
         Array.iter
@@ -227,4 +272,4 @@ let reset t =
             s.h_count <- 0;
             Mutex.unlock s.h_lock)
           h.h_shards)
-    (sorted_entries t)
+    (sorted_series t)

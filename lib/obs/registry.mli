@@ -5,16 +5,22 @@
     touches only the shard indexed by its domain id, so hot-path
     increments never contend across domains — and a snapshot
     ({!expose}, {!to_json}, or the [_value] readers) merges the shards.
-    Registration is get-or-create: asking twice for the same name
-    returns the same instrument (the first registration's help text and
-    buckets win), so independent modules can share one process-global
-    registry ({!default}) without coordination.  Registering a name as
-    two different kinds is an error.
+    Registration is get-or-create: asking twice for the same name (and
+    label set) returns the same series (the first registration's help
+    text and buckets win), so independent modules can share one
+    process-global registry ({!default}) without coordination.
+    Registering a name as two different kinds is an error.
+
+    A counter name may carry several {e labelled series}, one per label
+    set.  An object that counts its own events (a runtime, a store
+    client, a cache, a breaker) holds {e instance counters}: one cell
+    each, linked to a series, so one increment is both the object's own
+    count and part of the series total a scrape reports.
 
     Exposition is Prometheus-style text ([# HELP] / [# TYPE] /
-    [name value], histograms as [_bucket{le="..."}]/[_sum]/[_count])
-    with metrics sorted by name, so output for a given set of values is
-    byte-stable. *)
+    [name value] or [name{k="v"} value], histograms as
+    [_bucket{le="..."}]/[_sum]/[_count]) sorted by name and then label
+    set, so output for a given set of values is byte-stable. *)
 
 type t
 
@@ -28,7 +34,21 @@ val default : t
 
 type counter
 
-val counter : ?help:string -> t -> string -> counter
+val counter :
+  ?help:string -> ?labels:(string * string) list -> t -> string -> counter
+(** The series of [name] with [labels] (default none), rendered
+    [name{k="v",...}] with the labels sorted by name and their values
+    escaped. *)
+
+val instance :
+  ?help:string -> ?labels:(string * string) list -> t -> string -> counter
+(** A fresh instance counter linked to the series {!counter} returns for
+    the same arguments: {!inc} adds to the instance's one cell and to
+    the series shard of the creating domain (two atomic adds, no
+    domain-id lookup), {!counter_value} reads the instance's own count.
+    Instances are not registered: a scrape sees their increments only
+    through the series, and {!reset} leaves them alone. *)
+
 val inc : ?by:int -> counter -> unit
 (** [by] defaults to 1.  @raise Invalid_argument on a negative [by]. *)
 
@@ -65,12 +85,15 @@ val histogram_buckets : histogram -> (float * int) list
 (** {1 Snapshots} *)
 
 val expose : t -> string
-(** Prometheus text exposition, metrics sorted by name. *)
+(** Prometheus text exposition, metrics sorted by name, series by label
+    set; one [# HELP]/[# TYPE] header per name. *)
 
 val to_json : t -> string
 (** A one-line JSON snapshot:
     [{"counters":{...},"gauges":{...},"histograms":{...}}], keys
-    sorted. *)
+    sorted; a labelled series' key is its exposition name
+    [name{k="v"}]. *)
 
 val reset : t -> unit
-(** Zero every registered instrument (instruments stay registered). *)
+(** Zero every registered series (series stay registered; instance
+    counters keep their counts). *)

@@ -172,11 +172,3 @@ let close t =
         Option.iter close_out_noerr t.oc;
         t.oc <- None)
   end
-
-let registry_backend t =
-  { Kondo_container.Registry.b_put = (fun id chunk -> put t id chunk);
-    b_get = (fun id -> get t id);
-    b_remove = (fun id -> remove t id);
-    b_hashes = (fun () -> hashes t);
-    b_count = (fun () -> count t);
-    b_bytes = (fun () -> stored_bytes t) }

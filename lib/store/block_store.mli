@@ -42,8 +42,3 @@ val compact : t -> unit
     reclaims removed chunks' bytes on disk.  No-op without a path. *)
 
 val close : t -> unit
-
-val registry_backend : t -> Kondo_container.Registry.backend
-(** Adapt this store to the container registry's pluggable chunk
-    backend, so {!Kondo_container.Registry.push}/[pull] read and write
-    through the block store. *)

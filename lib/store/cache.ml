@@ -1,4 +1,5 @@
 open Kondo_faults
+module Registry = Kondo_obs.Registry
 
 type stats = {
   hits : int;
@@ -33,38 +34,36 @@ type shard = {
   mutable head : node option; (* MRU *)
   mutable tail : node option; (* LRU *)
   mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable insertions : int;
-  mutable rejections : int;
-  mutable single_flights : int;
-  mutable coalesced : int;
 }
 
-type t = { shards : shard array }
+(* The cache's counters, one per counted [stats] field, linked to the
+   process-wide [kondo_store_cache_*] series of its owner. *)
+type counters = {
+  hits : Registry.counter;
+  misses : Registry.counter;
+  evictions : Registry.counter;
+  insertions : Registry.counter;
+  rejections : Registry.counter;
+  single_flights : Registry.counter;
+  coalesced : Registry.counter;
+}
 
-(* Registry mirrors of the per-shard counters, bumped at the same sites
-   (shard lock held) so a scrape agrees with [stats] modulo in-flight
-   operations. *)
-module Cache_obs = struct
-  open Kondo_obs
+type t = { shards : shard array; n : counters }
 
-  let c name help = lazy (Registry.counter ~help Registry.default name)
-  let hits = c "kondo_store_cache_hits_total" "Cache lookups served from memory"
-  let misses = c "kondo_store_cache_misses_total" "Cache lookups that missed"
-  let evictions = c "kondo_store_cache_evictions_total" "LRU evictions"
-  let insertions = c "kondo_store_cache_insertions_total" "Entries inserted"
-  let rejections = c "kondo_store_cache_rejections_total" "Oversized entries refused"
-  let single_flights =
-    c "kondo_store_cache_single_flights_total" "Upstream fetches led by one caller"
-  let coalesced_waits =
-    c "kondo_store_cache_coalesced_waits_total" "Callers that waited on an in-flight fetch"
+let counters owner =
+  let labels = [ ("owner", match owner with `Client -> "client" | `Server -> "server") ] in
+  let c name help = Registry.instance ~help ~labels Registry.default name in
+  { hits = c "kondo_store_cache_hits_total" "Cache lookups served from memory";
+    misses = c "kondo_store_cache_misses_total" "Cache lookups that missed";
+    evictions = c "kondo_store_cache_evictions_total" "LRU evictions";
+    insertions = c "kondo_store_cache_insertions_total" "Entries inserted";
+    rejections = c "kondo_store_cache_rejections_total" "Oversized entries refused";
+    single_flights =
+      c "kondo_store_cache_single_flights_total" "Upstream fetches led by one caller";
+    coalesced =
+      c "kondo_store_cache_coalesced_waits_total" "Callers that waited on an in-flight fetch" }
 
-  let inc m = Registry.inc (Lazy.force m)
-end
-
-let create ?(shards = 8) ~budget_bytes () =
+let create ?(shards = 8) ?(owner = `Client) ~budget_bytes () =
   if budget_bytes < 0 then invalid_arg "Cache.create: negative budget";
   let n = max 1 (min 256 shards) in
   let base = budget_bytes / n and rem = budget_bytes mod n in
@@ -77,14 +76,8 @@ let create ?(shards = 8) ~budget_bytes () =
             budget = base + (if i < rem then 1 else 0);
             head = None;
             tail = None;
-            bytes = 0;
-            hits = 0;
-            misses = 0;
-            evictions = 0;
-            insertions = 0;
-            rejections = 0;
-            single_flights = 0;
-            coalesced = 0 }) }
+            bytes = 0 });
+    n = counters owner }
 
 let budget t = Array.fold_left (fun acc s -> acc + s.budget) 0 t.shards
 let shard_count t = Array.length t.shards
@@ -112,45 +105,38 @@ let drop_entry s n =
   Hashtbl.remove s.tbl n.key;
   s.bytes <- s.bytes - Bytes.length n.data
 
-let evict_to_budget s =
+let evict_to_budget t s =
   while s.bytes > s.budget do
     match s.tail with
     | Some n ->
       drop_entry s n;
-      s.evictions <- s.evictions + 1;
-      Cache_obs.inc Cache_obs.evictions
+      Registry.inc t.n.evictions
     | None -> s.bytes <- 0 (* unreachable: bytes > 0 implies a tail *)
   done
 
-let insert s id data =
+let insert t s id data =
   (match Hashtbl.find_opt s.tbl id with Some old -> drop_entry s old | None -> ());
-  if Bytes.length data > s.budget then begin
-    s.rejections <- s.rejections + 1;
-    Cache_obs.inc Cache_obs.rejections
-  end
+  if Bytes.length data > s.budget then Registry.inc t.n.rejections
   else begin
     let n = { key = id; data; prev = None; next = None } in
     push_front s n;
     Hashtbl.add s.tbl id n;
     s.bytes <- s.bytes + Bytes.length data;
-    s.insertions <- s.insertions + 1;
-    Cache_obs.inc Cache_obs.insertions;
-    evict_to_budget s
+    Registry.inc t.n.insertions;
+    evict_to_budget t s
   end
 
 (* The LRU touch and hit/miss accounting of one lookup.  The cached
    bytes are shared: callers copy what they hand out, under the lock. *)
-let lookup s id =
+let lookup t s id =
   match Hashtbl.find_opt s.tbl id with
   | Some n ->
     unlink s n;
     push_front s n;
-    s.hits <- s.hits + 1;
-    Cache_obs.inc Cache_obs.hits;
+    Registry.inc t.n.hits;
     Some n.data
   | None ->
-    s.misses <- s.misses + 1;
-    Cache_obs.inc Cache_obs.misses;
+    Registry.inc t.n.misses;
     None
 
 let locked lock f =
@@ -159,12 +145,12 @@ let locked lock f =
 
 let get t id =
   let s = shard_of t id in
-  locked s.lock (fun () -> Option.map Bytes.copy (lookup s id))
+  locked s.lock (fun () -> Option.map Bytes.copy (lookup t s id))
 
 let read_into t id ~src_off dst ~dst_off ~len =
   let s = shard_of t id in
   locked s.lock (fun () ->
-      match lookup s id with
+      match lookup t s id with
       | Some data ->
         Bytes.blit data src_off dst dst_off len;
         true
@@ -172,12 +158,12 @@ let read_into t id ~src_off dst ~dst_off ~len =
 
 let put t id data =
   let s = shard_of t id in
-  locked s.lock (fun () -> insert s id (Bytes.copy data))
+  locked s.lock (fun () -> insert t s id (Bytes.copy data))
 
 let get_or_fetch t id ~fetch =
   let s = shard_of t id in
   Mutex.lock s.lock;
-  match lookup s id with
+  match lookup t s id with
   | Some data ->
     let data = Bytes.copy data in
     Mutex.unlock s.lock;
@@ -186,8 +172,7 @@ let get_or_fetch t id ~fetch =
     match Hashtbl.find_opt s.inflight id with
     | Some fl ->
       (* coalesce onto the in-flight fetch *)
-      s.coalesced <- s.coalesced + 1;
-      Cache_obs.inc Cache_obs.coalesced_waits;
+      Registry.inc t.n.coalesced;
       let rec wait () =
         match fl.outcome with
         | Some r -> r
@@ -202,8 +187,7 @@ let get_or_fetch t id ~fetch =
       (* leader: run the upstream fetch outside the shard lock *)
       let fl = { outcome = None } in
       Hashtbl.add s.inflight id fl;
-      s.single_flights <- s.single_flights + 1;
-      Cache_obs.inc Cache_obs.single_flights;
+      Registry.inc t.n.single_flights;
       Mutex.unlock s.lock;
       let r =
         match fetch () with
@@ -211,29 +195,30 @@ let get_or_fetch t id ~fetch =
         | exception exn -> Error (Fault.of_exn exn)
       in
       Mutex.lock s.lock;
-      (match r with Ok b -> insert s id (Bytes.copy b) | Error _ -> ());
+      (match r with Ok b -> insert t s id (Bytes.copy b) | Error _ -> ());
       fl.outcome <- Some r;
       Hashtbl.remove s.inflight id;
       Condition.broadcast s.cond;
       Mutex.unlock s.lock;
       r)
 
-let stats t =
-  Array.fold_left
-    (fun (acc : stats) s ->
-      locked s.lock (fun () ->
-          { hits = acc.hits + s.hits;
-            misses = acc.misses + s.misses;
-            evictions = acc.evictions + s.evictions;
-            insertions = acc.insertions + s.insertions;
-            rejections = acc.rejections + s.rejections;
-            single_flights = acc.single_flights + s.single_flights;
-            coalesced = acc.coalesced + s.coalesced;
-            current_bytes = acc.current_bytes + s.bytes;
-            entries = acc.entries + Hashtbl.length s.tbl }))
-    { hits = 0; misses = 0; evictions = 0; insertions = 0; rejections = 0;
-      single_flights = 0; coalesced = 0; current_bytes = 0; entries = 0 }
-    t.shards
+let stats t : stats =
+  let bytes, entries =
+    Array.fold_left
+      (fun (bytes, entries) s ->
+        locked s.lock (fun () -> (bytes + s.bytes, entries + Hashtbl.length s.tbl)))
+      (0, 0) t.shards
+  in
+  let v = Registry.counter_value in
+  { hits = v t.n.hits;
+    misses = v t.n.misses;
+    evictions = v t.n.evictions;
+    insertions = v t.n.insertions;
+    rejections = v t.n.rejections;
+    single_flights = v t.n.single_flights;
+    coalesced = v t.n.coalesced;
+    current_bytes = bytes;
+    entries }
 
 let clear t =
   Array.iter

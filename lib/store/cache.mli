@@ -27,8 +27,12 @@ type stats = {
 
 type t
 
-val create : ?shards:int -> budget_bytes:int -> unit -> t
-(** [shards] defaults to 8, clamped to [\[1, 256\]].
+val create :
+  ?shards:int -> ?owner:[ `Client | `Server ] -> budget_bytes:int -> unit -> t
+(** [shards] defaults to 8, clamped to [\[1, 256\]].  [owner] (default
+    [`Client]) labels the process-wide [kondo_store_cache_*] series this
+    cache's counters are linked to: [owner="server"] for the cache of a
+    {!Server}, [owner="client"] for every other.
     @raise Invalid_argument when [budget_bytes < 0]. *)
 
 val budget : t -> int
@@ -52,4 +56,6 @@ val get_or_fetch :
     key.  A successful fetch is inserted before waiters wake. *)
 
 val stats : t -> stats
+(** A snapshot of this cache's counters and current size. *)
+
 val clear : t -> unit

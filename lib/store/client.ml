@@ -1,46 +1,61 @@
 open Kondo_faults
+module Registry = Kondo_obs.Registry
 
 type stats = {
-  mutable requests : int;
-  mutable range_gets : int;
-  mutable fetched_chunks : int;
-  mutable fetched_bytes : int;
-  mutable corrupt_fetches : int;
-  mutable retries : int;
-  mutable breaker_rejections : int;
-  mutable cache_hits : int;
+  requests : int;
+  range_gets : int;
+  fetched_chunks : int;
+  fetched_bytes : int;
+  corrupt_fetches : int;
+  retries : int;
+  breaker_rejections : int;
+  cache_hits : int;
 }
 
-(* Registry mirrors of the client stats, plus exchange latency and
-   range-GET batch-size distributions. *)
-module Cl_obs = struct
-  open Kondo_obs
+let stats_fields s =
+  [ ("requests", s.requests);
+    ("range_gets", s.range_gets);
+    ("fetched_chunks", s.fetched_chunks);
+    ("fetched_bytes", s.fetched_bytes);
+    ("corrupt_fetches", s.corrupt_fetches);
+    ("retries", s.retries);
+    ("breaker_rejections", s.breaker_rejections);
+    ("cache_hits", s.cache_hits) ]
 
-  let c name help = lazy (Registry.counter ~help Registry.default name)
-  let requests = c "kondo_store_client_requests_total" "Protocol rounds attempted"
-  let range_gets = c "kondo_store_client_range_gets_total" "BATCH requests issued"
-  let fetched_chunks = c "kondo_store_client_fetched_chunks_total" "Verified chunks received"
-  let fetched_bytes = c "kondo_store_client_fetched_bytes_total" "Verified chunk bytes received"
-  let corrupt_fetches =
-    c "kondo_store_client_corrupt_fetches_total" "Digest mismatches detected (then retried)"
-  let retries = c "kondo_store_client_retries_total" "Exchange retries"
-  let breaker_rejections =
-    c "kondo_store_client_breaker_rejections_total" "Exchanges refused by an open breaker"
-  let cache_hits = c "kondo_store_client_cache_hits_total" "Chunks served from the local cache"
+(* The client's counters, linked to the process-wide
+   [kondo_store_client_*] series.  Breaker rejections are the breaker's
+   own count. *)
+type counters = {
+  requests : Registry.counter;
+  range_gets : Registry.counter;
+  fetched_chunks : Registry.counter;
+  fetched_bytes : Registry.counter;
+  corrupt_fetches : Registry.counter;
+  retries : Registry.counter;
+  cache_hits : Registry.counter;
+}
 
-  let request_seconds =
-    lazy
-      (Registry.histogram ~help:"Breaker-gated exchange latency (including retries)"
-         Registry.default "kondo_store_client_request_seconds")
+let counters () =
+  let c name help = Registry.instance ~help Registry.default name in
+  { requests = c "kondo_store_client_requests_total" "Protocol rounds attempted";
+    range_gets = c "kondo_store_client_range_gets_total" "BATCH requests issued";
+    fetched_chunks = c "kondo_store_client_fetched_chunks_total" "Verified chunks received";
+    fetched_bytes = c "kondo_store_client_fetched_bytes_total" "Verified chunk bytes received";
+    corrupt_fetches =
+      c "kondo_store_client_corrupt_fetches_total" "Digest mismatches detected (then retried)";
+    retries = c "kondo_store_client_retries_total" "Exchange retries";
+    cache_hits = c "kondo_store_client_cache_hits_total" "Chunks served from the local cache" }
 
-  let batch_size =
-    lazy
-      (Registry.histogram ~help:"Chunk ids per BATCH range GET"
-         ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-         Registry.default "kondo_store_client_batch_size")
+let request_seconds =
+  lazy
+    (Registry.histogram ~help:"Breaker-gated exchange latency (including retries)"
+       Registry.default "kondo_store_client_request_seconds")
 
-  let inc ?by m = Registry.inc ?by (Lazy.force m)
-end
+let batch_size =
+  lazy
+    (Registry.histogram ~help:"Chunk ids per BATCH range GET"
+       ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
+       Registry.default "kondo_store_client_batch_size")
 
 type t = {
   conn : Transport.conn;
@@ -51,7 +66,7 @@ type t = {
   rng : Kondo_prng.Rng.t;
   site : string;
   mutable now_ms : float;
-  stats : stats;
+  n : counters;
 }
 
 let connect ?(retry = Retry.default) ?(breaker = Breaker.default)
@@ -65,18 +80,21 @@ let connect ?(retry = Retry.default) ?(breaker = Breaker.default)
     rng = Kondo_prng.Rng.create (Fault_plan.seed faults);
     site = "store:" ^ conn.Transport.peer;
     now_ms = 0.0;
-    stats =
-      { requests = 0;
-        range_gets = 0;
-        fetched_chunks = 0;
-        fetched_bytes = 0;
-        corrupt_fetches = 0;
-        retries = 0;
-        breaker_rejections = 0;
-        cache_hits = 0 } }
+    n = counters () }
 
 let close t = t.conn.Transport.close ()
-let stats t = t.stats
+
+let stats t : stats =
+  let v = Registry.counter_value in
+  { requests = v t.n.requests;
+    range_gets = v t.n.range_gets;
+    fetched_chunks = v t.n.fetched_chunks;
+    fetched_bytes = v t.n.fetched_bytes;
+    corrupt_fetches = v t.n.corrupt_fetches;
+    retries = v t.n.retries;
+    breaker_rejections = (Breaker.stats t.breaker).Breaker.rejections;
+    cache_hits = v t.n.cache_hits }
+
 let peer t = t.conn.Transport.peer
 let breaker_state t = Breaker.state t.breaker
 
@@ -86,8 +104,7 @@ let breaker_state t = Breaker.state t.breaker
    Corruption flips a range GET's chunk payloads (its back half), which
    the digest check catches, and any other reply's tag byte. *)
 let round_once t req =
-  t.stats.requests <- t.stats.requests + 1;
-  Cl_obs.inc Cl_obs.requests;
+  Registry.inc t.n.requests;
   let attempt =
     Fault_plan.wrap t.faults ~site:t.site
       ~shorten:(fun body -> String.sub body 0 (max 0 (String.length body - 1)))
@@ -118,11 +135,8 @@ let round_once t req =
 (* Breaker-gated, retried exchange.  [check] classifies a decoded
    response: Ok payload, or an error (retryable or not). *)
 let exchange t req ~check =
-  if not (Breaker.allow t.breaker ~now_ms:t.now_ms) then begin
-    t.stats.breaker_rejections <- t.stats.breaker_rejections + 1;
-    Cl_obs.inc Cl_obs.breaker_rejections;
+  if not (Breaker.allow t.breaker ~now_ms:t.now_ms) then
     Error (Fault.Permanent "store circuit breaker open")
-  end
   else begin
     let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
     let outcome =
@@ -131,12 +145,10 @@ let exchange t req ~check =
           | Error _ as e -> e
           | Ok resp -> check resp)
     in
-    Kondo_obs.Registry.observe
-      (Lazy.force Cl_obs.request_seconds)
+    Registry.observe (Lazy.force request_seconds)
       (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
     t.now_ms <- t.now_ms +. outcome.Retry.elapsed_ms +. 1.0;
-    t.stats.retries <- t.stats.retries + Retry.retries outcome;
-    Cl_obs.inc ~by:(Retry.retries outcome) Cl_obs.retries;
+    Registry.inc ~by:(Retry.retries outcome) t.n.retries;
     (match outcome.Retry.result with
     | Ok _ -> Breaker.record_success t.breaker
     | Error _ -> Breaker.record_failure t.breaker ~now_ms:t.now_ms);
@@ -190,15 +202,12 @@ let put t payload =
 let verified t m i payload =
   let b = Bytes.of_string payload in
   if Chunk.verify m i b then begin
-    t.stats.fetched_chunks <- t.stats.fetched_chunks + 1;
-    t.stats.fetched_bytes <- t.stats.fetched_bytes + Bytes.length b;
-    Cl_obs.inc Cl_obs.fetched_chunks;
-    Cl_obs.inc ~by:(Bytes.length b) Cl_obs.fetched_bytes;
+    Registry.inc t.n.fetched_chunks;
+    Registry.inc ~by:(Bytes.length b) t.n.fetched_bytes;
     Ok b
   end
   else begin
-    t.stats.corrupt_fetches <- t.stats.corrupt_fetches + 1;
-    Cl_obs.inc Cl_obs.corrupt_fetches;
+    Registry.inc t.n.corrupt_fetches;
     Error (Fault.Corrupt (Printf.sprintf "chunk %d of %s failed digest verification" i m.Chunk.name))
   end
 
@@ -208,9 +217,8 @@ let fetch_chunks t m ~first ~count =
   if count = 0 then Ok [||]
   else begin
     let ids = List.init count (fun i -> m.Chunk.ids.(first + i)) in
-    t.stats.range_gets <- t.stats.range_gets + 1;
-    Cl_obs.inc Cl_obs.range_gets;
-    Kondo_obs.Registry.observe (Lazy.force Cl_obs.batch_size) (float_of_int count);
+    Registry.inc t.n.range_gets;
+    Registry.observe (Lazy.force batch_size) (float_of_int count);
     exchange t (Proto.Batch ids) ~check:(function
       | Proto.Blobs entries ->
         if List.length entries <> count then
@@ -265,8 +273,7 @@ let read_bytes t m ~offset ~length =
       for i = 0 to n - 1 do
         let src_off, dst_off, len = slice i in
         if Cache.read_into cache m.Chunk.ids.(c0 + i) ~src_off out ~dst_off ~len then begin
-          t.stats.cache_hits <- t.stats.cache_hits + 1;
-          Cl_obs.inc Cl_obs.cache_hits;
+          Registry.inc t.n.cache_hits;
           have.(i) <- true
         end
       done);

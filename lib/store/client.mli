@@ -11,15 +11,18 @@
     BATCH range GET per contiguous run. *)
 
 type stats = {
-  mutable requests : int;        (** protocol rounds attempted *)
-  mutable range_gets : int;      (** BATCH requests issued *)
-  mutable fetched_chunks : int;  (** verified chunks received *)
-  mutable fetched_bytes : int;
-  mutable corrupt_fetches : int; (** digest/shape mismatches detected (then retried) *)
-  mutable retries : int;
-  mutable breaker_rejections : int;
-  mutable cache_hits : int;      (** chunks served from the local chunk cache *)
+  requests : int;           (** protocol rounds attempted *)
+  range_gets : int;         (** BATCH requests issued *)
+  fetched_chunks : int;     (** verified chunks received *)
+  fetched_bytes : int;
+  corrupt_fetches : int;    (** digest/shape mismatches detected (then retried) *)
+  retries : int;
+  breaker_rejections : int; (** exchanges the client's circuit breaker refused *)
+  cache_hits : int;         (** chunks served from the local chunk cache *)
 }
+
+val stats_fields : stats -> (string * int) list
+(** The stats as [(field name, value)] pairs, in declaration order. *)
 
 type t
 
@@ -34,7 +37,12 @@ val connect :
     misses into the same chunk cost one round trip. *)
 
 val close : t -> unit
+
 val stats : t -> stats
+(** A snapshot of this client's counters.  Each but [breaker_rejections]
+    is linked to a process-wide [kondo_store_client_*_total] series;
+    [breaker_rejections] is the client's breaker's count
+    ([kondo_breaker_rejections_total]). *)
 
 val peer : t -> string
 (** The transport's peer description, e.g. ["unix:/run/kondo.sock"]. *)

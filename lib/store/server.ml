@@ -1,42 +1,35 @@
 module Kfile = Kondo_h5.File
 
-module Srv_obs = struct
-  open Kondo_obs
+let request_seconds =
+  lazy
+    (Kondo_obs.Registry.histogram ~help:"Store server request handling latency"
+       Kondo_obs.Registry.default "kondo_store_server_request_seconds")
 
-  let requests =
-    lazy
-      (Registry.counter ~help:"Requests handled by the store server" Registry.default
-         "kondo_store_server_requests_total")
-
-  let request_seconds =
-    lazy
-      (Registry.histogram ~help:"Store server request handling latency" Registry.default
-         "kondo_store_server_request_seconds")
-
-  let batch_size =
-    lazy
-      (Registry.histogram ~help:"Chunk ids per BATCH request"
-         ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-         Registry.default "kondo_store_server_batch_size")
-end
+let batch_size =
+  lazy
+    (Kondo_obs.Registry.histogram ~help:"Chunk ids per BATCH request"
+       ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
+       Kondo_obs.Registry.default "kondo_store_server_batch_size")
 
 type t = {
   store : Block_store.t;
   cache : Cache.t;
   jobs : int;
   manifests : (string, Chunk.manifest) Hashtbl.t;
-  lock : Mutex.t; (* guards [manifests] and [served] *)
-  mutable served : int;
+  lock : Mutex.t; (* guards [manifests] *)
+  served : Kondo_obs.Registry.counter;
 }
 
-let create ?(cache_bytes = 1024 * 1024) ?(cache_shards = 8) ?(jobs = 1) ~store () =
+let create ?(cache_bytes = 1024 * 1024) ?(jobs = 1) ~store () =
   if jobs < 1 then invalid_arg "Server.create: jobs < 1";
   { store;
-    cache = Cache.create ~shards:cache_shards ~budget_bytes:cache_bytes ();
+    cache = Cache.create ~owner:`Server ~budget_bytes:cache_bytes ();
     jobs;
     manifests = Hashtbl.create 8;
     lock = Mutex.create ();
-    served = 0 }
+    served =
+      Kondo_obs.Registry.instance ~help:"Requests handled by the store server"
+        Kondo_obs.Registry.default "kondo_store_server_requests_total" }
 
 let store t = t.store
 let cache t = t.cache
@@ -97,7 +90,7 @@ let find_manifest t key =
     in
     (match matches with [ (_, m) ] -> Some m | _ -> None)
 
-let requests_served t = locked t (fun () -> t.served)
+let requests_served t = Kondo_obs.Registry.counter_value t.served
 
 let lookup_chunk t id =
   Cache.get_or_fetch t.cache id ~fetch:(fun () ->
@@ -131,7 +124,7 @@ let apply t req =
     (* a range GET: fan the lookups out over a domain pool — concurrent
        misses on duplicate ids coalesce in the cache's single-flight *)
     Kondo_obs.Registry.observe
-      (Lazy.force Srv_obs.batch_size)
+      (Lazy.force batch_size)
       (float_of_int (List.length ids));
     let lookup id =
       (id, match lookup_chunk t id with Ok b -> Some (Bytes.unsafe_to_string b) | Error _ -> None)
@@ -151,8 +144,7 @@ let apply t req =
     Proto.Metrics (Kondo_obs.Registry.expose Kondo_obs.Registry.default)
 
 let handle t body =
-  locked t (fun () -> t.served <- t.served + 1);
-  Kondo_obs.Registry.inc (Lazy.force Srv_obs.requests);
+  Kondo_obs.Registry.inc t.served;
   let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
   let resp =
     match Proto.decode_request body with
@@ -164,7 +156,7 @@ let handle t body =
   in
   let encoded = Proto.encode_response resp in
   Kondo_obs.Registry.observe
-    (Lazy.force Srv_obs.request_seconds)
+    (Lazy.force request_seconds)
     (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
   encoded
 

@@ -13,9 +13,9 @@
 
 type t
 
-val create :
-  ?cache_bytes:int -> ?cache_shards:int -> ?jobs:int -> store:Block_store.t -> unit -> t
-(** [cache_bytes] (default 1 MiB) budgets the read cache; [jobs]
+val create : ?cache_bytes:int -> ?jobs:int -> store:Block_store.t -> unit -> t
+(** [cache_bytes] (default 1 MiB) budgets the read cache, whose counters
+    feed the [owner="server"] [kondo_store_cache_*] series; [jobs]
     (default 1) sets the BATCH fan-out width. *)
 
 val store : t -> Block_store.t

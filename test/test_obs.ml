@@ -73,6 +73,39 @@ let test_registry_golden_exposition () =
   Alcotest.(check int) "reset zeroes counters" 0 (Registry.counter_value c);
   Alcotest.(check int) "reset zeroes histograms" 0 (Registry.histogram_count h)
 
+let test_registry_labelled_golden () =
+  let r = Registry.create () in
+  let server = Registry.instance ~help:"Hits" ~labels:[ ("owner", "server") ] r "t_hits_total" in
+  let a = Registry.instance ~labels:[ ("owner", "client") ] r "t_hits_total" in
+  let b = Registry.instance ~labels:[ ("owner", "client") ] r "t_hits_total" in
+  Registry.inc ~by:2 server;
+  Registry.inc a;
+  Registry.inc ~by:4 b;
+  Registry.inc (Registry.counter ~labels:[ ("z", "1"); ("a", "q\"x") ] r "t_odd_total");
+  let expected =
+    "# HELP t_hits_total Hits\n\
+     # TYPE t_hits_total counter\n\
+     t_hits_total{owner=\"client\"} 5\n\
+     t_hits_total{owner=\"server\"} 2\n\
+     # TYPE t_odd_total counter\n\
+     t_odd_total{a=\"q\\\"x\",z=\"1\"} 1\n"
+  in
+  Alcotest.(check string) "labelled exposition" expected (Registry.expose r);
+  Alcotest.(check string) "labelled json"
+    "{\"counters\":{\"t_hits_total{owner=\\\"client\\\"}\":5,\
+     \"t_hits_total{owner=\\\"server\\\"}\":2,\"t_odd_total{a=\\\"q\\\\\\\"x\\\",z=\\\"1\\\"}\":1},\
+     \"gauges\":{},\"histograms\":{}}"
+    (Registry.to_json r);
+  Alcotest.(check (list int)) "instances count their own" [ 2; 1; 4 ]
+    (List.map Registry.counter_value [ server; a; b ]);
+  Registry.reset r;
+  Alcotest.(check int) "reset zeroes the series" 0
+    (Registry.counter_value (Registry.counter ~labels:[ ("owner", "client") ] r "t_hits_total"));
+  Alcotest.(check int) "instances keep their counts" 4 (Registry.counter_value b);
+  match Registry.gauge r "t_hits_total" with
+  | _ -> Alcotest.fail "a labelled counter name registered as a gauge"
+  | exception Invalid_argument _ -> ()
+
 let test_registry_get_or_create () =
   let r = Registry.create () in
   let a = Registry.counter ~help:"first wins" r "t_shared_total" in
@@ -104,17 +137,26 @@ let qcheck_concurrent_counters =
       let r = Registry.create () in
       let c = Registry.counter r "q_total" in
       let h = Registry.histogram ~buckets:[| 0.5; 1.5 |] r "q_seconds" in
+      (* one instance shared by every domain, and one created by each *)
+      let shared = Registry.instance r "q_inst_total" in
       let worker () =
+        let own = Registry.instance r "q_inst_total" in
         for i = 1 to n do
           Registry.inc c;
+          Registry.inc shared;
+          Registry.inc own;
           Registry.observe h (if i mod 2 = 0 then 1.0 else 2.0)
-        done
+        done;
+        Registry.counter_value own
       in
       let domains = List.init 4 (fun _ -> Domain.spawn worker) in
-      List.iter Domain.join domains;
+      let owns = List.map Domain.join domains in
       let buckets = Registry.histogram_buckets h in
       let _, total = List.nth buckets (List.length buckets - 1) in
       Registry.counter_value c = 4 * n
+      && Registry.counter_value shared = 4 * n
+      && List.for_all (( = ) n) owns
+      && Registry.counter_value (Registry.counter r "q_inst_total") = 8 * n
       && Registry.histogram_count h = 4 * n
       && total = 4 * n)
 
@@ -301,6 +343,8 @@ let suite =
         test_clock_virtual_deterministic;
       Alcotest.test_case "registry golden exposition and json" `Quick
         test_registry_golden_exposition;
+      Alcotest.test_case "registry labelled series golden" `Quick
+        test_registry_labelled_golden;
       Alcotest.test_case "registry get-or-create and validation" `Quick
         test_registry_get_or_create;
       QCheck_alcotest.to_alcotest qcheck_concurrent_counters;

@@ -327,13 +327,13 @@ let test_cache_read_into_copies_slice () =
 
 (* The chunk-copying read path [Client.read_bytes] had before slices were
    copied out of the cache: a [Cache.get] per chunk, then one range GET
-   per run of misses. *)
-let read_via_get client cache m ~offset ~length =
+   per run of misses.  The client's cache hits it would have counted are
+   added to [hits]. *)
+let read_via_get client cache m ~hits ~offset ~length =
   let c0 = Chunk.chunk_of_offset m offset in
   let n = Chunk.chunk_of_offset m (offset + length - 1) - c0 + 1 in
   let chunks = Array.init n (fun i -> Cache.get cache m.Chunk.ids.(c0 + i)) in
-  let stats = Client.stats client in
-  Array.iter (fun c -> if c <> None then stats.Client.cache_hits <- stats.Client.cache_hits + 1) chunks;
+  Array.iter (fun c -> if c <> None then incr hits) chunks;
   let i = ref 0 in
   while !i < n do
     if chunks.(!i) <> None then incr i
@@ -373,6 +373,7 @@ let test_client_slice_reads_match_chunk_copies () =
   in
   let m, cache, client = setup () in
   let m', cache', client' = setup () in
+  let hits' = ref 0 in
   let rng = Kondo_prng.Rng.create 9 in
   for _ = 1 to 400 do
     let offset = Kondo_prng.Rng.int rng 4000 in
@@ -382,9 +383,11 @@ let test_client_slice_reads_match_chunk_copies () =
     | Ok b -> Alcotest.(check bool) "served bytes" true (b = expect)
     | Error e -> Alcotest.fail (Fault.to_string e));
     Alcotest.(check bool) "oracle bytes" true
-      (read_via_get client' cache' m' ~offset ~length = expect)
+      (read_via_get client' cache' m' ~hits:hits' ~offset ~length = expect)
   done;
-  Alcotest.(check bool) "client stats unchanged" true (Client.stats client = Client.stats client');
+  let oracle = Client.stats client' in
+  Alcotest.(check bool) "client stats unchanged" true
+    (Client.stats client = { oracle with Client.cache_hits = oracle.Client.cache_hits + !hits' });
   Alcotest.(check bool) "cache stats unchanged" true (Cache.stats cache = Cache.stats cache');
   Alcotest.(check bool) "some reads hit the cache" true ((Client.stats client).Client.cache_hits > 0)
 
@@ -709,6 +712,78 @@ let test_smaller_same_named_file_degrades () =
   Sys.remove small_src;
   Sys.remove src
 
+(* ---- One scrape tells the client and server caches apart ---- *)
+
+let cache_families =
+  [ "hits"; "misses"; "evictions"; "insertions"; "rejections"; "single_flights";
+    "coalesced_waits" ]
+
+(* The process-wide [kondo_store_cache_*] series of one owner, in the
+   order of [cache_counts]. *)
+let cache_series owner =
+  List.map
+    (fun name ->
+      Kondo_obs.Registry.counter_value
+        (Kondo_obs.Registry.counter ~labels:[ ("owner", owner) ] Kondo_obs.Registry.default
+           ("kondo_store_cache_" ^ name ^ "_total")))
+    cache_families
+
+let cache_counts (s : Cache.stats) =
+  [ s.Cache.hits; s.misses; s.evictions; s.insertions; s.rejections; s.single_flights;
+    s.coalesced ]
+
+let test_one_scrape_tells_caches_apart () =
+  let p, src, img = build_hollow_image () in
+  let read_twice store =
+    let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtc") () in
+    for _ = 1 to 2 do
+      for i = 0 to 15 do
+        for j = 0 to 15 do
+          Alcotest.(check (float 1e-9)) "served" (Datafile.fill [| i; j |])
+            (Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |])
+        done
+      done
+    done;
+    Runtime.shutdown rt
+  in
+  let delta before owner = List.map2 ( - ) (cache_series owner) before in
+  (* --remote: a client cache in front of the loopback server over the
+     source file, whose own cache has no budget *)
+  let client0 = cache_series "client" and server0 = cache_series "server" in
+  let client_cache = Cache.create ~budget_bytes:65536 () in
+  let client, remote =
+    match Source.of_image ~cache:client_cache img with Ok r -> r | Error e -> Alcotest.fail e
+  in
+  read_twice remote;
+  let fetched = (Client.stats client).Client.fetched_chunks in
+  Alcotest.(check (list int)) "client series: the client cache's counts"
+    (cache_counts (Cache.stats client_cache)) (delta client0 "client");
+  Alcotest.(check (list int)) "server series: every fetched chunk missed, none retained"
+    [ 0; fetched; 0; 0; fetched; fetched; 0 ] (delta server0 "server");
+  Alcotest.(check bool) "the client cache hit" true ((Cache.stats client_cache).Cache.hits > 0);
+  (* --remote-store: a server cache behind a cacheless client *)
+  let client0 = cache_series "client" and server0 = cache_series "server" in
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~chunk_size:128 ~name:(Filename.basename src) src);
+  read_twice (Source.of_client ~image:img (Client.connect conn));
+  let server_cache = Cache.stats (Server.cache server) in
+  Alcotest.(check (list int)) "server series: the server cache's counts"
+    (cache_counts server_cache) (delta server0 "server");
+  Alcotest.(check (list int)) "client series untouched" [ 0; 0; 0; 0; 0; 0; 0 ]
+    (delta client0 "client");
+  Alcotest.(check bool) "the server cache hit" true (server_cache.Cache.hits > 0);
+  (* one scrape shows both series, each at its total *)
+  let text = Kondo_obs.Registry.expose Kondo_obs.Registry.default in
+  List.iter
+    (fun owner ->
+      let line =
+        Printf.sprintf "kondo_store_cache_hits_total{owner=\"%s\"} %d\n" owner
+          (List.hd (cache_series owner))
+      in
+      Alcotest.(check bool) (String.trim line) true (contains text line))
+    [ "client"; "server" ];
+  Sys.remove src
+
 (* ---- Property: both sources serve every valuation's reads ---- *)
 
 (* A weakly debloated 32x32 CS1 or PRL2D image, built once per program:
@@ -821,14 +896,62 @@ let qcheck_permanent_faults_degrade =
           s.Runtime.degraded_reads = s.Runtime.misses
           && (s.Runtime.misses < 5 || Client.breaker_state client <> Breaker.Closed)))
 
+(* The process-wide series a runtime or client stats field is counted
+   in: a client's breaker rejections are its breaker's. *)
+let series_of prefix field =
+  if field = "breaker_rejections" then "kondo_breaker_rejections_total"
+  else prefix ^ field ^ "_total"
+
+let reconciled_series =
+  List.map (series_of "kondo_runtime_")
+    [ "reads"; "misses"; "store_fetches"; "store_bytes"; "degraded_reads" ]
+  @ List.map (series_of "kondo_store_client_")
+      [ "requests"; "range_gets"; "fetched_chunks"; "fetched_bytes"; "corrupt_fetches";
+        "retries"; "breaker_rejections"; "cache_hits" ]
+
+let series_values () =
+  List.map
+    (fun name ->
+      Kondo_obs.Registry.counter_value
+        (Kondo_obs.Registry.counter Kondo_obs.Registry.default name))
+    reconciled_series
+
+let qcheck_series_sum_instances =
+  QCheck.Test.make ~count:10
+    ~name:"retryable faults: runtime, client and breaker series sum their instances"
+    QCheck.(pair valuation_gen (quad (int_bound 15) (int_bound 10) (int_bound 15) (int_bound 5)))
+    (fun ((use_prl, vseed, fseed), (tr, to_, co, sh)) ->
+      let ((p, _, _) as fixture) = weak_fixture use_prl in
+      let pct x = float_of_int x /. 100.0 in
+      let plan () =
+        Fault_plan.create ~transient:(pct tr) ~timeout:(pct to_) ~corrupt:(pct co)
+          ~short_read:(pct sh) ~seed:fseed ()
+      in
+      let before = series_values () in
+      let fields = ref [] in
+      ignore
+        (check_sources ~plan fixture (valuations p vseed)
+           ~ok:(fun _ _ -> true)
+           ~verdict:(fun s client ->
+             let tag prefix = List.map (fun (k, v) -> (series_of prefix k, v)) in
+             fields :=
+               tag "kondo_runtime_" (Runtime.stats_fields s)
+               @ tag "kondo_store_client_" (Client.stats_fields (Client.stats client))
+               @ !fields;
+             true));
+      let expected =
+        List.map
+          (fun name ->
+            List.fold_left (fun acc (k, v) -> if k = name then acc + v else acc) 0 !fields)
+          reconciled_series
+      in
+      List.for_all (fun (k, _) -> List.mem k reconciled_series) !fields
+      && List.map2 ( - ) (series_values ()) before = expected)
+
 let test_runtime_stats_rendering () =
   let _, src, img = build_hollow_image () in
   let rt = Runtime.boot ~image:img ~dir:(fresh_dir "kondo_rtj") () in
   let s = Runtime.stats rt in
-  let text = Format.asprintf "%a" Runtime.pp_stats s in
-  List.iter
-    (fun key -> Alcotest.(check bool) (key ^ " in pp_stats") true (contains text key))
-    [ "reads"; "misses"; "store_fetches"; "store_bytes"; "degraded_reads" ];
   let json = Runtime.stats_to_json ~extra:[ ("client_cache_hits", 3) ] s in
   Alcotest.(check bool) "json has stats fields" true
     (String.length json > 0
@@ -838,31 +961,6 @@ let test_runtime_stats_rendering () =
     (fun needle -> Alcotest.(check bool) (needle ^ " in json") true (contains json needle))
     [ "\"degraded_reads\": 0"; "\"client_cache_hits\": 3" ];
   Runtime.shutdown rt;
-  Sys.remove src
-
-(* ---- Registry through the block store ---- *)
-
-let test_registry_over_block_store () =
-  let _, src, img = build_hollow_image () in
-  let mem = Registry.create () in
-  let bs = Block_store.create () in
-  let reg = Registry.create ~backend:(Block_store.registry_backend bs) () in
-  let pushed_mem = Registry.push mem ~name:"img" img in
-  let pushed_bs = Registry.push reg ~name:"img" img in
-  Alcotest.(check int) "push size matches memory backend" pushed_mem pushed_bs;
-  Alcotest.(check int) "chunk count matches" (Registry.chunk_count mem)
-    (Registry.chunk_count reg);
-  Alcotest.(check int) "stored bytes match" (Registry.stored_bytes mem)
-    (Registry.stored_bytes reg);
-  Alcotest.(check int) "registry chunks live in the block store"
-    (Registry.chunk_count reg) (Block_store.count bs);
-  let img_mem, xfer_mem = Registry.pull mem ~name:"img" ~have:Merkle.HashSet.empty in
-  let img_bs, xfer_bs = Registry.pull reg ~name:"img" ~have:Merkle.HashSet.empty in
-  Alcotest.(check int) "pull transfer matches" xfer_mem xfer_bs;
-  Alcotest.(check bool) "pulled data identical" true
-    (Image.data_content img_mem ~dst:"/data" = Image.data_content img_bs ~dst:"/data");
-  Alcotest.(check bool) "pulled data matches the image" true
-    (Image.data_content img_bs ~dst:"/data" = Image.data_content img ~dst:"/data");
   Sys.remove src
 
 (* ---- Unix-domain socket transport ---- *)
@@ -947,7 +1045,8 @@ let suite =
         test_smaller_same_named_file_degrades;
       QCheck_alcotest.to_alcotest qcheck_retryable_faults_serve_every_read;
       QCheck_alcotest.to_alcotest qcheck_permanent_faults_degrade;
+      QCheck_alcotest.to_alcotest qcheck_series_sum_instances;
+      Alcotest.test_case "one scrape tells the caches apart" `Quick
+        test_one_scrape_tells_caches_apart;
       Alcotest.test_case "runtime stats render" `Quick test_runtime_stats_rendering;
-      Alcotest.test_case "registry over the block store" `Quick
-        test_registry_over_block_store;
       Alcotest.test_case "unix socket serving" `Quick test_unix_socket_serving ] )
