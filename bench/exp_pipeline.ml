@@ -13,12 +13,15 @@
    times sit counters that do not move with the machine: fuzz
    evaluations, hulls, approximated indices, lattice rows scanned and
    containment tests made by rasterize, keep intervals and written bytes.
+   The [reads] layer is the end user's side of the point: local reads per
+   run and ns per [Runtime.try_read_element] over the debloated file.
    Everything lands in artifacts/BENCH_pipeline.json. *)
 
 open Kondo_dataarray
 open Kondo_interval
 open Kondo_workload
 open Kondo_core
+open Kondo_container
 open Exp_common
 module Obs = Kondo_obs.Obs
 module Trace = Kondo_obs.Trace
@@ -51,6 +54,62 @@ let keep_intervals_of path p =
   match ds.Kondo_h5.Dataset.storage with
   | Kondo_h5.Dataset.Sparse keep -> Interval_set.cardinal keep
   | Kondo_h5.Dataset.Dense -> 0
+
+(* [read_runs] useful valuations drawn from Θ by a fixed generator, each
+   read element by element through the container runtime over the
+   debloated file with no store behind it.  Every run is one
+   runtime.reads span, so the layer's seconds hold only
+   [Runtime.try_read_element] calls and the loop around them. *)
+let read_runs = 16
+
+let valuations p =
+  let pick = Kondo_prng.Rng.create 20240417 in
+  let rec useful () =
+    let v =
+      Array.map
+        (fun (lo, hi) ->
+          let lo = int_of_float lo in
+          float_of_int (lo + Kondo_prng.Rng.int pick (int_of_float hi - lo + 1)))
+        p.Program.param_space
+    in
+    if Program.is_useful p v then v else useful ()
+  in
+  List.init read_runs (fun _ -> useful ())
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let read_cost p path =
+  let spec =
+    { Spec.empty with
+      Spec.base = "scratch";
+      data_deps = [ { Spec.src = path; dst = "/data" } ] }
+  in
+  let image = Image.build spec ~fetch:(fun src -> Bytes.unsafe_of_string (read_file src)) in
+  let dir = Filename.temp_file "exp_pipeline_rt" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let rt = Runtime.boot ~image ~dir () in
+  let tr = Trace.create () in
+  let dst = "/data" and dataset = p.Program.dataset in
+  List.iter
+    (fun v ->
+      Trace.with_span tr "runtime.reads" (fun () ->
+          Program.iter_access p v (fun idx ->
+              ignore (Runtime.try_read_element rt ~dst ~dataset idx))))
+    (valuations p);
+  let s = Runtime.stats rt in
+  Runtime.shutdown rt;
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) (Array.to_list (Sys.readdir dir));
+  Unix.rmdir dir;
+  let seconds =
+    List.fold_left
+      (fun a (n, t, _) -> if n = "runtime.reads" then a +. t else a)
+      0.0 (Trace.span_totals tr)
+  in
+  let local = s.Runtime.reads - s.Runtime.misses in
+  ( float_of_int local /. float_of_int read_runs,
+    s.Runtime.misses,
+    1e9 *. seconds /. float_of_int (max 1 s.Runtime.reads) )
 
 let measure (name, size, p) =
   let src = Filename.temp_file "exp_pipeline_src" ".kh5" in
@@ -93,10 +152,13 @@ let measure (name, size, p) =
           ("keep_intervals", keep_intervals_of dst p);
           ("written_bytes", file_size dst) ]
       in
-      row "  %-6s %5d  %6.2fs  %s  cover %.3f  rows %d  contains %d\n%!" name size wall
+      let local_per_run, misses, ns_per_read = read_cost p dst in
+      row "  %-6s %5d  %6.2fs  %s  cover %.3f  rows %d  contains %d  reads %.0f/run %.0f ns\n%!"
+        name size wall
         (String.concat " "
            (List.map (fun (l, t) -> Printf.sprintf "%s %.3f" l t) split))
-        coverage (List.assoc "rows" counters) (List.assoc "contains_calls" counters);
+        coverage (List.assoc "rows" counters) (List.assoc "contains_calls" counters)
+        local_per_run ns_per_read;
       let open Report.Json in
       Obj
         [ ("program", String name);
@@ -105,7 +167,13 @@ let measure (name, size, p) =
           ("debloat_s", Float wall);
           ("layers_s", Obj (List.map (fun (l, t) -> (l, Float t)) split));
           ("coverage", Float coverage);
-          ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters)) ])
+          ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters));
+          ( "reads",
+            Obj
+              [ ("runs", Int read_runs);
+                ("local_reads_per_run", Float local_per_run);
+                ("misses", Int misses);
+                ("ns_per_read", Float ns_per_read) ] ) ])
 
 let json_path () =
   let dir = "artifacts" in
@@ -120,7 +188,10 @@ let run () =
     Obj
       [ ("experiment", String "exp_pipeline");
         ("hardware_domains", Int (Kondo_parallel.Pool.default_jobs ()));
-        ("config", String "Config.default, jobs = 1, one debloat per point from a compacted heap");
+        ( "config",
+          String
+            "Config.default, jobs = 1, one debloat per point from a compacted heap; reads: \
+             16 useful valuations per point through Runtime.try_read_element, no store" );
         ( "layers",
           Obj (List.map (fun (l, names) -> (l, List (List.map (fun s -> String s) names))) layers) );
         ("points", List points) ]

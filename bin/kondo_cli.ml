@@ -493,16 +493,24 @@ let serve_cmd =
               (Kondo_store.Chunk.chunk_count m) m.Kondo_store.Chunk.total_len)
           (Kondo_store.Server.add_kh5 server ~chunk_size ~name:(Filename.basename path) path))
       files;
+    (* SIGTERM and SIGINT stop the server: the signal interrupts a blocked
+       accept, the accept loop sees the flag, and [serve_unix] removes
+       the socket on its way out. *)
+    let stopped = Atomic.make false in
+    let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stopped true) in
+    Sys.set_signal Sys.sigterm on_signal;
+    Sys.set_signal Sys.sigint on_signal;
     Kondo_store.Server.serve_unix server ~socket
       ~on_ready:(fun () -> Printf.printf "listening on %s\n%!" socket)
-      ~stop:(fun () -> false)
+      ~stop:(fun () -> Atomic.get stopped)
       ()
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Serve dense KH5 files as content-addressed chunks over a Unix-domain socket \
-          (the server side of $(b,kondo run --remote-store)). Runs until killed.")
+          (the server side of $(b,kondo run --remote-store)). Runs until SIGTERM or \
+          SIGINT, then removes the socket and exits 0.")
     Term.(
       const run $ socket_arg $ store_file_arg $ cache_bytes_arg $ chunk_size_arg
       $ jobs_arg $ files_arg)

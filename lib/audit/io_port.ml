@@ -15,13 +15,17 @@ let of_bytes ~path buf =
         Bytes.sub buf off len);
     close = (fun () -> ()) }
 
+(* The length is measured once: [in_channel_length] costs two [lseek]s,
+   too many for a per-element bounds check.  A seek inside the channel's
+   buffer makes no syscall, so nearby reads are served from memory. *)
 let of_file path =
   let ic = open_in_bin path in
+  let length = try in_channel_length ic with e -> close_in_noerr ic; raise e in
   { path;
-    size = (fun () -> in_channel_length ic);
+    size = (fun () -> length);
     pread =
       (fun off len ->
-        if off < 0 || len < 0 || off + len > in_channel_length ic then
+        if off < 0 || len < 0 || off + len > length then
           invalid_arg "Io_port.pread: out of range";
         seek_in ic off;
         let buf = Bytes.create len in

@@ -19,7 +19,11 @@ val of_bytes : path:string -> bytes -> t
 (** In-memory port (no OS I/O). *)
 
 val of_file : string -> t
-(** Open a real file for positional reads. *)
+(** Open a real file for positional reads.  The file's length is
+    measured once, when the port is opened: [size] returns it and
+    [pread]'s bounds check uses it, so bytes appended later are out of
+    range.  Ports are read-only, and every reader opens a finished
+    file. *)
 
 val with_file : string -> (t -> 'a) -> 'a
 (** Open, apply, close (also on exception). *)

@@ -67,7 +67,16 @@ let () =
            missing.Kfile.dataset missing.Kfile.offset (Fault.to_string cause))
     | _ -> None)
 
-type t = { mounts : mount list; store : store_source option; n : counters }
+type t = {
+  mounts : mount list;
+  store : store_source option;
+  n : counters;
+  mutable last : mount option; (* the mount read last: a run repeats its [dst] *)
+  mutable last_dst : string;
+    (* the caller's [dst] string that found [last], compared by address:
+       a caller that builds [dst] once per run hits from its second read
+       on, and a hit neither scans, compares text nor writes [t] *)
+}
 
 let boot ?tracer ?store ~image ~dir () =
   let mounts =
@@ -75,17 +84,23 @@ let boot ?tracer ?store ~image ~dir () =
       (fun (dst, path) -> { dst; local = Kfile.open_file ?tracer path })
       (Image.materialize image ~dir)
   in
-  { mounts; store; n = counters () }
+  { mounts; store; n = counters (); last = None; last_dst = "" }
 
 let mount t dst =
-  match List.find_opt (fun m -> String.equal m.dst dst) t.mounts with
-  | Some m -> m
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Runtime.mount: no mount at %S (mounted: %s)" dst
-         (match t.mounts with
-         | [] -> "none"
-         | ms -> String.concat ", " (List.map (fun m -> m.dst) ms)))
+  match t.last with
+  | Some m when t.last_dst == dst -> m
+  | _ -> (
+    match List.find_opt (fun m -> String.equal m.dst dst) t.mounts with
+    | Some m ->
+      t.last <- Some m;
+      t.last_dst <- dst;
+      m
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Runtime.mount: no mount at %S (mounted: %s)" dst
+           (match t.mounts with
+           | [] -> "none"
+           | ms -> String.concat ", " (List.map (fun m -> m.dst) ms))))
 
 let file t ~dst = (mount t dst).local
 

@@ -56,9 +56,9 @@ let keep_intervals p approx ~layout =
       let shape = p.Program.shape in
       let dtype = p.Program.dtype in
       let esz = Kondo_dataarray.Dtype.size dtype in
+      let addr = Layout.addressing layout shape dtype in
       let offsets = ref [] in
-      Index_set.iter approx (fun idx ->
-          offsets := Layout.element_offset layout shape dtype idx :: !offsets);
+      Index_set.iter approx (fun idx -> offsets := Layout.offset addr idx :: !offsets);
       let sorted = List.sort compare !offsets in
       Interval_set.of_sorted (List.map (fun off -> Interval.make off (off + esz)) sorted))
 

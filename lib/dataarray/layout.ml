@@ -28,18 +28,61 @@ let storage_nelems t shape =
     let grid = chunk_grid t shape in
     Array.fold_left ( * ) 1 grid * chunk_nelems t
 
-let element_offset t shape dt idx =
-  let esz = Dtype.size dt in
+type addressing = {
+  dims : int array;
+  strides : int array; (* row-major element strides of the array, or of one chunk *)
+  chunk : int array; (* chunk dims; [||] when contiguous *)
+  grid_strides : int array; (* row-major strides of the chunk grid; [||] when contiguous *)
+  per_chunk : int;
+  esz : int;
+}
+
+let row_major_strides dims =
+  let s = Array.make (Array.length dims) 1 in
+  for k = Array.length dims - 2 downto 0 do
+    s.(k) <- s.(k + 1) * dims.(k + 1)
+  done;
+  s
+
+let addressing t shape dt =
+  let dims = Shape.dims shape and esz = Dtype.size dt in
   match t with
-  | Contiguous -> Shape.linearize shape idx * esz
+  | Contiguous ->
+    { dims; strides = row_major_strides dims; chunk = [||]; grid_strides = [||]; per_chunk = 0; esz }
   | Chunked cdims ->
-    let rank = Array.length cdims in
-    let grid = chunk_grid t shape in
-    let grid_shape = Shape.create grid and chunk_shape = Shape.create cdims in
-    let chunk_idx = Array.init rank (fun k -> idx.(k) / cdims.(k)) in
-    let within = Array.init rank (fun k -> idx.(k) mod cdims.(k)) in
-    let chunk_rank = Shape.linearize grid_shape chunk_idx in
-    ((chunk_rank * chunk_nelems t) + Shape.linearize chunk_shape within) * esz
+    { dims;
+      strides = row_major_strides cdims;
+      chunk = Array.copy cdims;
+      grid_strides = row_major_strides (chunk_grid t shape);
+      per_chunk = chunk_nelems t;
+      esz }
+
+(* Every axis is summed even past an out-of-bounds one: rank is at most
+   a handful, and a flag keeps the loop free of exception handlers. *)
+let offset a idx =
+  let rank = Array.length a.dims in
+  if Array.length idx <> rank then -1
+  else if Array.length a.chunk = 0 then begin
+    let bad = ref false and lin = ref 0 in
+    for k = 0 to rank - 1 do
+      let i = idx.(k) in
+      if i < 0 || i >= a.dims.(k) then bad := true;
+      lin := !lin + (i * a.strides.(k))
+    done;
+    if !bad then -1 else !lin * a.esz
+  end
+  else begin
+    let bad = ref false and chunk_rank = ref 0 and within = ref 0 in
+    for k = 0 to rank - 1 do
+      let i = idx.(k) and c = a.chunk.(k) in
+      if i < 0 || i >= a.dims.(k) then bad := true;
+      chunk_rank := !chunk_rank + (i / c * a.grid_strides.(k));
+      within := !within + (i mod c * a.strides.(k))
+    done;
+    if !bad then -1 else ((!chunk_rank * a.per_chunk) + !within) * a.esz
+  end
+
+let element_offset t shape dt idx = offset (addressing t shape dt) idx
 
 let index_of_offset t shape dt off =
   let esz = Dtype.size dt in

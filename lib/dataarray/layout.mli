@@ -23,8 +23,19 @@ val storage_nelems : t -> Shape.t -> int
 (** Number of element slots in the file, including chunk padding at the
     array's ragged edges. *)
 
+type addressing
+(** The index -> byte-offset map of one array, precomputed: the strides
+    of the array, its chunks and its chunk grid. *)
+
+val addressing : t -> Shape.t -> Dtype.t -> addressing
+
+val offset : addressing -> int array -> int
+(** Byte offset of one element within the dataset's data section, or
+    [-1] when the index has the wrong rank or lies outside the array.
+    Allocates nothing: the per-element cost of a reader. *)
+
 val element_offset : t -> Shape.t -> Dtype.t -> int array -> int
-(** Byte offset of one element within the dataset's data section. *)
+(** [offset (addressing t shape dt) idx], for a single lookup. *)
 
 val index_of_offset : t -> Shape.t -> Dtype.t -> int -> int array option
 (** Inverse of {!element_offset}: [None] when the offset points at chunk

@@ -26,10 +26,6 @@ let stored_bytes t =
   | Dense -> logical_bytes t
   | Sparse keep -> Kondo_interval.Interval_set.total_length keep
 
-let element_offset t idx =
-  if not (Shape.in_bounds t.shape idx) then invalid_arg "Dataset.element_offset: out of bounds";
-  Layout.element_offset t.layout t.shape t.dtype idx
-
 let index_of_offset t off = Layout.index_of_offset t.layout t.shape t.dtype off
 
 let is_sparse t = match t.storage with Dense -> false | Sparse _ -> true

@@ -40,9 +40,6 @@ val logical_bytes : t -> int
 val stored_bytes : t -> int
 (** Bytes actually materialized in the file ([logical_bytes] when dense). *)
 
-val element_offset : t -> int array -> int
-(** Byte offset of an element within the logical data section. *)
-
 val index_of_offset : t -> int -> int array option
 
 val is_sparse : t -> bool

@@ -4,13 +4,23 @@ open Kondo_audit
 
 type entry = {
   ds : Dataset.t;
+  addr : Layout.addressing; (* the element offsets of [ds] *)
+  esz : int;
   data_off : int; (* absolute file offset of the stored data section *)
-  runs : (int * int * int) array; (* (logical lo, logical hi, packed pos); empty when dense *)
+  runs : int array;
+    (* (logical lo, logical hi, packed pos) of each run, flattened; empty
+       when dense *)
   stored_len : int;
   crc : int; (* CRC-32 of the stored section, from the header *)
+  mutable hint : int; (* index in [runs] of the run found last *)
 }
 
-type t = { port : Io_port.t; order : string list; entries : (string, entry) Hashtbl.t }
+type t = {
+  port : Io_port.t;
+  order : string list;
+  entries : (string, entry) Hashtbl.t;
+  mutable last : entry option; (* the entry read last: readers repeat a name *)
+}
 
 type missing = { path : string; dataset : string; index : int array; offset : int }
 
@@ -63,23 +73,24 @@ let parse_entry c =
       let esz = Dtype.size dtype in
       let limit = Layout.storage_nelems layout shape * esz in
       let packed = ref 0 and prev_hi = ref 0 in
-      let runs =
-        Array.init nruns (fun _ ->
-            let lo = Binio.read_u64 c in
-            let hi = Binio.read_u64 c in
-            if hi <= lo then raise (Binio.Corrupt "empty run");
-            if lo < !prev_hi then raise (Binio.Corrupt "unsorted or overlapping runs");
-            if lo mod esz <> 0 || hi mod esz <> 0 then raise (Binio.Corrupt "misaligned run");
-            if hi > limit then raise (Binio.Corrupt "run outside the dataset");
-            let r = (lo, hi, !packed) in
-            packed := !packed + (hi - lo);
-            prev_hi := hi;
-            r)
-      in
+      let runs = Array.make (3 * nruns) 0 in
+      for r = 0 to nruns - 1 do
+        let lo = Binio.read_u64 c in
+        let hi = Binio.read_u64 c in
+        if hi <= lo then raise (Binio.Corrupt "empty run");
+        if lo < !prev_hi then raise (Binio.Corrupt "unsorted or overlapping runs");
+        if lo mod esz <> 0 || hi mod esz <> 0 then raise (Binio.Corrupt "misaligned run");
+        if hi > limit then raise (Binio.Corrupt "run outside the dataset");
+        runs.(3 * r) <- lo;
+        runs.((3 * r) + 1) <- hi;
+        runs.((3 * r) + 2) <- !packed;
+        packed := !packed + (hi - lo);
+        prev_hi := hi
+      done;
       if !packed <> stored_len then raise (Binio.Corrupt "runs do not fill the stored section");
       let keep =
         Interval_set.of_sorted
-          (Array.to_list (Array.map (fun (lo, hi, _) -> Interval.make lo hi) runs))
+          (List.init nruns (fun r -> Interval.make runs.(3 * r) runs.((3 * r) + 1)))
       in
       (Dataset.Sparse keep, runs)
     | _ -> raise (Binio.Corrupt "bad storage tag")
@@ -95,7 +106,14 @@ let parse_entry c =
   in
   let crc = Binio.read_u32 c in
   let ds = { Dataset.name; dtype; shape; layout; storage; attrs } in
-  { ds; data_off; runs; stored_len; crc }
+  { ds;
+    addr = Layout.addressing layout shape dtype;
+    esz = Dtype.size dtype;
+    data_off;
+    runs;
+    stored_len;
+    crc;
+    hint = 0 }
 
 let open_port port =
   let n, c = parse_header port in
@@ -110,12 +128,17 @@ let open_port port =
     Hashtbl.add entries e.ds.Dataset.name e;
     order := e.ds.Dataset.name :: !order
   done;
-  { port; order = List.rev !order; entries }
+  { port; order = List.rev !order; entries; last = None }
 
 let open_file ?tracer ?(pid = 1) path =
   let port = Io_port.of_file path in
   let port = match tracer with None -> port | Some t -> Tracer.wrap t ~pid port in
-  open_port port
+  (* a malformed header must not leak the descriptor *)
+  match open_port port with
+  | t -> t
+  | exception e ->
+    port.Io_port.close ();
+    raise e
 
 let close t = t.port.Io_port.close ()
 
@@ -124,41 +147,58 @@ let path t = t.port.Io_port.path
 let datasets t = List.map (fun name -> (Hashtbl.find t.entries name).ds) t.order
 
 let entry t name =
-  match Hashtbl.find_opt t.entries name with Some e -> e | None -> raise Not_found
+  match t.last with
+  | Some e when String.equal e.ds.Dataset.name name -> e
+  | _ -> (
+    match Hashtbl.find_opt t.entries name with
+    | Some e ->
+      t.last <- Some e;
+      e
+    | None -> raise Not_found)
 
 let find t name = (entry t name).ds
 
 (* Packed position of a logical byte range [eoff, eoff+len) of a sparse
-   dataset, or None when it is not fully materialized. *)
+   dataset, or -1 when it is not fully materialized.  Reads walk the runs
+   in order, so the run found last is tried before a binary search. *)
 let sparse_locate e eoff len =
   let runs = e.runs in
-  let n = Array.length runs in
-  (* binary search: last run with lo <= eoff *)
-  let rec search lo hi =
-    if lo > hi then None
+  let r =
+    let h = e.hint in
+    if h < Array.length runs && runs.(h) <= eoff && eoff < runs.(h + 1) then h
     else begin
-      let mid = (lo + hi) / 2 in
-      let rlo, rhi, packed = runs.(mid) in
-      if eoff < rlo then search lo (mid - 1)
-      else if eoff >= rhi then search (mid + 1) hi
-      else if eoff + len <= rhi then Some (packed + (eoff - rlo))
-      else None
+      let lo = ref 0 and hi = ref ((Array.length runs / 3) - 1) and found = ref (-1) in
+      while !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        if eoff < runs.(3 * mid) then hi := mid - 1
+        else if eoff >= runs.((3 * mid) + 1) then lo := mid + 1
+        else begin
+          found := 3 * mid;
+          lo := !hi + 1
+        end
+      done;
+      if !found >= 0 then e.hint <- !found;
+      !found
     end
   in
-  search 0 (n - 1)
+  if r < 0 || eoff + len > runs.(r + 1) then -1 else runs.(r + 2) + (eoff - runs.(r))
+
+let element_offset e idx =
+  match Layout.offset e.addr idx with
+  | -1 -> invalid_arg "Dataset.element_offset: out of bounds"
+  | eoff -> eoff
 
 let read_element_bytes t e idx =
-  let ds = e.ds in
-  let esz = Dtype.size ds.Dataset.dtype in
-  let eoff = Dataset.element_offset ds idx in
-  match ds.Dataset.storage with
-  | Dataset.Dense -> t.port.Io_port.pread (e.data_off + eoff) esz
+  let eoff = element_offset e idx in
+  match e.ds.Dataset.storage with
+  | Dataset.Dense -> t.port.Io_port.pread (e.data_off + eoff) e.esz
   | Dataset.Sparse _ -> (
-    match sparse_locate e eoff esz with
-    | Some packed -> t.port.Io_port.pread (e.data_off + packed) esz
-    | None ->
+    match sparse_locate e eoff e.esz with
+    | -1 ->
       raise
-        (Data_missing { path = path t; dataset = ds.Dataset.name; index = Array.copy idx; offset = eoff }))
+        (Data_missing
+           { path = path t; dataset = e.ds.Dataset.name; index = Array.copy idx; offset = eoff })
+    | packed -> t.port.Io_port.pread (e.data_off + packed) e.esz)
 
 let read_element t name idx =
   let e = entry t name in
@@ -194,7 +234,7 @@ let read_slab t name slab f =
       end
     in
     Hyperslab.iter ~clip:ds.Dataset.shape slab (fun idx ->
-        let eoff = Dataset.element_offset ds idx in
+        let eoff = element_offset e idx in
         if !count > 0 && eoff = !start + (!count * esz) then begin
           indices := Array.copy idx :: !indices;
           incr count

@@ -228,7 +228,12 @@ let open_port port =
 let open_file ?tracer ?(pid = 1) path =
   let port = Io_port.of_file path in
   let port = match tracer with None -> port | Some t -> Tracer.wrap t ~pid port in
-  open_port port
+  (* a malformed header must not leak the descriptor *)
+  match open_port port with
+  | t -> t
+  | exception e ->
+    port.Io_port.close ();
+    raise e
 
 let close (t : t) = t.port.Io_port.close ()
 

@@ -114,11 +114,13 @@ let evict_to_budget t s =
     | None -> s.bytes <- 0 (* unreachable: bytes > 0 implies a tail *)
   done
 
+(* [data] stays the caller's: it is copied only once admitted, so a
+   rejected entry costs no copy. *)
 let insert t s id data =
   (match Hashtbl.find_opt s.tbl id with Some old -> drop_entry s old | None -> ());
   if Bytes.length data > s.budget then Registry.inc t.n.rejections
   else begin
-    let n = { key = id; data; prev = None; next = None } in
+    let n = { key = id; data = Bytes.copy data; prev = None; next = None } in
     push_front s n;
     Hashtbl.add s.tbl id n;
     s.bytes <- s.bytes + Bytes.length data;
@@ -158,7 +160,7 @@ let read_into t id ~src_off dst ~dst_off ~len =
 
 let put t id data =
   let s = shard_of t id in
-  locked s.lock (fun () -> insert t s id (Bytes.copy data))
+  locked s.lock (fun () -> insert t s id data)
 
 let get_or_fetch t id ~fetch =
   let s = shard_of t id in
@@ -195,7 +197,7 @@ let get_or_fetch t id ~fetch =
         | exception exn -> Error (Fault.of_exn exn)
       in
       Mutex.lock s.lock;
-      (match r with Ok b -> insert t s id (Bytes.copy b) | Error _ -> ());
+      (match r with Ok b -> insert t s id b | Error _ -> ());
       fl.outcome <- Some r;
       Hashtbl.remove s.inflight id;
       Condition.broadcast s.cond;

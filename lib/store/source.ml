@@ -98,15 +98,37 @@ let serve_files server ~pending ~where body =
                { Chunk.name = key; chunk_size = cs; total_len = len; ids;
                  root = Chunk.root_of_ids ids })))
   | Ok (Proto.Batch ids) ->
+    (* Each source opens once per request, however many of its chunks
+       the request misses; a source that cannot be opened or read serves
+       nothing, and the server answers those chunks as missing. *)
     let store = Server.store server in
-    List.iter
-      (fun id ->
-        match Hashtbl.find_opt where id with
-        | Some (src, ds, offset, length) when not (Block_store.mem store id) ->
-          ignore
-            (with_file src (fun file -> Block_store.put store id (read file ds ~offset ~length)))
-        | _ -> ())
-      ids
+    let opened = Hashtbl.create 2 in
+    let file src =
+      match Hashtbl.find_opt opened src with
+      | Some f -> f
+      | None ->
+        let f =
+          match Kfile.open_file src with
+          | file -> Some file
+          | exception (Sys_error _ | Kondo_h5.Binio.Corrupt _) -> None
+        in
+        Hashtbl.add opened src f;
+        f
+    in
+    Fun.protect
+      ~finally:(fun () -> Hashtbl.iter (fun _ f -> Option.iter Kfile.close f) opened)
+      (fun () ->
+        List.iter
+          (fun id ->
+            match Hashtbl.find_opt where id with
+            | Some (src, ds, offset, length) when not (Block_store.mem store id) -> (
+              match file src with
+              | Some f -> (
+                try ignore (Block_store.put store id (read f ds ~offset ~length))
+                with Invalid_argument _ -> ())
+              | None -> ())
+            | _ -> ())
+          ids)
   | _ -> ());
   Server.handle server body
 

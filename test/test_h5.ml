@@ -90,6 +90,28 @@ let test_truncated_header () =
   Alcotest.check_raises "truncated" (Binio.Corrupt "truncated header") (fun () ->
       ignore (File.open_file path))
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A header that fails to parse closes the descriptor it was read
+   through: 200 failed opens leave the process's descriptors as they
+   were. *)
+let test_malformed_open_closes_port () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let path = tmp "trunc_leak.kh5" in
+    Writer.write path [ (mk_dense [| 6; 7 |], fill) ];
+    let head = In_channel.with_open_bin path (fun ic -> really_input_string ic 20) in
+    Out_channel.with_open_bin path (fun oc -> output_string oc head);
+    let before = open_fds () in
+    for _ = 1 to 200 do
+      match File.open_file path with
+      | f ->
+        File.close f;
+        Alcotest.fail "truncated file opened"
+      | exception Binio.Corrupt _ -> ()
+    done;
+    Alcotest.(check int) "descriptors unchanged" before (open_fds ())
+  end
+
 let test_read_slab_matches_elementwise () =
   let path = tmp "slab.kh5" in
   let ds = mk_dense [| 8; 8 |] in
@@ -342,6 +364,7 @@ let suite =
       Alcotest.test_case "corrupt magic" `Quick test_corrupt_magic;
       Alcotest.test_case "truncated file" `Quick test_truncated_file;
       Alcotest.test_case "truncated header rejected" `Quick test_truncated_header;
+      Alcotest.test_case "malformed open closes its port" `Quick test_malformed_open_closes_port;
       Alcotest.test_case "read_slab matches element reads" `Quick test_read_slab_matches_elementwise;
       Alcotest.test_case "read_slab clips" `Quick test_read_slab_clips;
       Alcotest.test_case "dense slab reads batch" `Quick test_slab_read_batches;

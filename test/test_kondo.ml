@@ -11,6 +11,7 @@ let () =
       Test_faults.suite;
       Test_audit.suite;
       Test_h5.suite;
+      Test_read_path.suite;
       Test_provenance.suite;
       Test_container.suite;
       Test_store.suite;

@@ -92,6 +92,25 @@ let test_corrupt_magic () =
   Alcotest.check_raises "bad magic" (Binio.Corrupt "netcdf: bad magic") (fun () ->
       ignore (Netcdf.open_file path))
 
+(* a header that fails to parse closes the descriptor it was read through *)
+let test_malformed_open_closes_port () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let path = tmp "trunc_leak.nc" in
+    write_simple path;
+    let head = In_channel.with_open_bin path (fun ic -> really_input_string ic 20) in
+    Out_channel.with_open_bin path (fun oc -> output_string oc head);
+    let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let before = fds () in
+    for _ = 1 to 200 do
+      match Netcdf.open_file path with
+      | f ->
+        Netcdf.close f;
+        Alcotest.fail "truncated file opened"
+      | exception Binio.Corrupt _ -> ()
+    done;
+    Alcotest.(check int) "descriptors unchanged" before (fds ())
+  end
+
 let test_unknown_var () =
   let path = tmp "unknown.nc" in
   write_simple path;
@@ -148,6 +167,7 @@ let test_kh5_pipeline_on_netcdf_source () =
 let suite =
   ( "netcdf",
     [ Alcotest.test_case "roundtrip double" `Quick test_roundtrip_double;
+      Alcotest.test_case "malformed open closes its port" `Quick test_malformed_open_closes_port;
       Alcotest.test_case "roundtrip all types" `Quick test_roundtrip_all_types;
       Alcotest.test_case "multiple vars share dims" `Quick test_multiple_vars_share_dims;
       Alcotest.test_case "big-endian on-disk layout" `Quick test_big_endian_layout;

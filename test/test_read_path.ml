@@ -1,0 +1,325 @@
+(* The local element-read path against [Read_oracle], the path it
+   replaced: random on-disk KH5 files — dense and sparse, contiguous and
+   chunked, every dtype, random keep sets — read at every in-bounds index
+   and at out-of-bounds ones, through [Kondo_h5.File], through a
+   tracer-wrapped file and through the container runtime. *)
+
+open Kondo_dataarray
+open Kondo_interval
+open Kondo_audit
+open Kondo_container
+module Kfile = Kondo_h5.File
+module Dataset = Kondo_h5.Dataset
+module Writer = Kondo_h5.Writer
+module Fault = Kondo_faults.Fault
+module Oracle = Read_oracle
+
+type outcome =
+  | Value of int64 (* the bits *)
+  | Missing of Kfile.missing
+  | Degraded of Kfile.missing * Fault.error
+  | Invalid of string
+  | Other of string
+
+let outcome_of_result = function
+  | Ok v -> Value (Int64.bits_of_float v)
+  | Error (Kfile.Data_missing m) -> Missing m
+  | Error (Runtime.Degraded { missing; cause }) -> Degraded (missing, cause)
+  | Error e -> Other (Printexc.to_string e)
+
+let outcome f =
+  match f () with
+  | r -> outcome_of_result r
+  | exception Invalid_argument msg -> Invalid msg
+  | exception e -> outcome_of_result (Error e)
+
+let show = function
+  | Value b -> Printf.sprintf "value %Lx" b
+  | Missing m -> Printf.sprintf "missing %s:%s at %d" m.Kfile.path m.Kfile.dataset m.Kfile.offset
+  | Degraded (m, c) -> Printf.sprintf "degraded at %d: %s" m.Kfile.offset (Fault.to_string c)
+  | Invalid msg -> "Invalid_argument " ^ msg
+  | Other s -> s
+
+let show_idx idx = String.concat "," (Array.to_list (Array.map string_of_int idx))
+
+(* ---- random files ---- *)
+
+type ds_case = { name : string; dims : int array; chunk : int array option; dtype : Dtype.t }
+
+type case = { dss : ds_case list; sparse : bool; with_store : bool; seed : int }
+
+let gen_ds name =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun rank ->
+    array_repeat rank (int_range 1 7) >>= fun dims ->
+    opt (array_repeat rank (int_range 1 4)) >>= fun chunk ->
+    oneofl Dtype.all >|= fun dtype -> { name; dims; chunk; dtype })
+
+let gen_case =
+  QCheck.Gen.(
+    int_range 1 2 >>= fun n ->
+    flatten_l (List.init n (fun i -> gen_ds (Printf.sprintf "d%d" i))) >>= fun dss ->
+    bool >>= fun sparse ->
+    bool >>= fun with_store ->
+    int_bound 1_000_000 >|= fun seed -> { dss; sparse; with_store; seed })
+
+let print_case c =
+  Printf.sprintf "%s, %s, store %b, seed %d"
+    (String.concat "; "
+       (List.map
+          (fun d ->
+            Printf.sprintf "%s %s %s %s" d.name (show_idx d.dims)
+              (match d.chunk with None -> "contiguous" | Some c -> "chunked " ^ show_idx c)
+              (Dtype.to_string d.dtype))
+          c.dss))
+    (if c.sparse then "sparse" else "dense")
+    c.with_store c.seed
+
+let dataset d =
+  let layout = match d.chunk with None -> Layout.Contiguous | Some c -> Layout.Chunked c in
+  Dataset.dense ~name:d.name ~dtype:d.dtype ~shape:(Shape.create d.dims) ~layout ()
+
+let fill idx =
+  (float_of_int (Array.fold_left (fun a i -> (a * 31) + i) 7 idx) *. 0.37) -. 100.0
+
+(* Whole elements of the logical section kept with a density drawn per
+   dataset: nothing, some or everything. *)
+let keep_set rng ds =
+  let esz = Dtype.size ds.Dataset.dtype in
+  let slots = Dataset.logical_bytes ds / esz in
+  let density = [| 0.0; 0.3; 0.7; 1.0 |].(Random.State.int rng 4) in
+  let runs = ref [] and start = ref (-1) in
+  for i = 0 to slots do
+    let kept = i < slots && Random.State.float rng 1.0 < density in
+    if kept && !start < 0 then start := i
+    else if (not kept) && !start >= 0 then begin
+      runs := Interval.make (!start * esz) (i * esz) :: !runs;
+      start := -1
+    end
+  done;
+  Interval_set.of_sorted (List.rev !runs)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let b = Bytes.create (in_channel_length ic) in
+  really_input ic b 0 (Bytes.length b);
+  close_in ic;
+  b
+
+(* Writes the case's dense file and, when sparse, its debloated copy;
+   [f dense file] runs on the paths, which are removed afterwards. *)
+let with_files c f =
+  let rng = Random.State.make [| c.seed |] in
+  let dense = Filename.temp_file "kondo_rp_dense" ".kh5" in
+  let deb = Filename.temp_file "kondo_rp_deb" ".kh5" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ dense; deb ])
+    (fun () ->
+      let dss = List.map dataset c.dss in
+      Writer.write dense (List.map (fun ds -> (ds, fill)) dss);
+      if c.sparse then begin
+        let keeps = List.map (fun ds -> (ds.Dataset.name, keep_set rng ds)) dss in
+        let source = Kfile.open_file dense in
+        Writer.write_debloated deb ~source ~keep:(fun name -> List.assoc name keeps);
+        Kfile.close source
+      end;
+      f dense (if c.sparse then deb else dense))
+
+(* Every in-bounds index of every dataset, then out-of-bounds probes
+   (each axis one past either end, a rank too many and too few), the
+   datasets interleaved so consecutive reads switch entries; then the
+   same reads backwards. *)
+let reads c =
+  let per_ds d =
+    let ins = ref [] in
+    Shape.iter (Shape.create d.dims) (fun idx -> ins := (d.name, Array.copy idx) :: !ins);
+    let rank = Array.length d.dims in
+    let outs =
+      List.concat
+        (List.init rank (fun k ->
+             List.map
+               (fun v ->
+                 let idx = Array.make rank 0 in
+                 idx.(k) <- v;
+                 (d.name, idx))
+               [ -1; d.dims.(k) ]))
+      @ [ (d.name, Array.make (rank + 1) 0); (d.name, [||]) ]
+    in
+    List.rev !ins @ outs
+  in
+  let rec interleave = function
+    | [] -> []
+    | lists ->
+      let heads = List.filter_map (function [] -> None | x :: _ -> Some x) lists in
+      let tails = List.filter (( <> ) []) (List.map (function [] -> [] | _ :: t -> t) lists) in
+      heads @ interleave tails
+  in
+  let forward = interleave (List.map per_ds c.dss) in
+  forward @ List.rev forward
+
+(* A deterministic store: by element slot, a transient failure, a
+   wrong-sized payload or bytes derived from the request. *)
+let stub_store =
+  { Runtime.source_name = "stub";
+    store_fetch =
+      (fun ~dst ~dataset ~offset ~length ->
+        match offset / length mod 4 with
+        | 0 -> Error (Fault.Transient (Printf.sprintf "%s#%s@%d" dst dataset offset))
+        | 1 -> Ok (Bytes.make (length + 1) 'x')
+        | _ ->
+          Ok
+            (Bytes.init length (fun i ->
+                 Char.chr (((offset * 7) + (i * 13) + String.length dataset) land 255)))) }
+
+let fresh_dir () =
+  let dir = Filename.temp_file "kondo_rp" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let mismatch what c name idx got want =
+  QCheck.Test.fail_reportf "%s: %s at %s (%s): got %s, the oracle %s" what name (show_idx idx)
+    (print_case c) (show got) (show want)
+
+let check_file c path =
+  let f = Kfile.open_file path and o = Oracle.open_file path in
+  List.iter
+    (fun (name, idx) ->
+      let got = outcome (fun () -> Ok (Kfile.read_element f name idx))
+      and want = outcome (fun () -> Ok (Oracle.read_element o name idx)) in
+      if got <> want then mismatch "File.read_element" c name idx got want)
+    (reads c);
+  Kfile.close f;
+  Oracle.close o
+
+let check_tracer c path =
+  let tf = Tracer.create () and to_ = Tracer.create () in
+  let f = Kfile.open_file ~tracer:tf ~pid:3 path
+  and o = Oracle.open_file ~tracer:to_ ~pid:3 path in
+  List.iter
+    (fun (name, idx) ->
+      ignore (outcome (fun () -> Ok (Kfile.read_element f name idx)));
+      ignore (outcome (fun () -> Ok (Oracle.read_element o name idx))))
+    (reads c);
+  Kfile.close f;
+  Oracle.close o;
+  if Tracer.events tf <> Tracer.events to_ then
+    QCheck.Test.fail_reportf "traced events differ (%s): %d vs %d" (print_case c)
+      (Tracer.event_count tf) (Tracer.event_count to_)
+
+(* Two mounts, the file under test and the dense file; reads alternate
+   between them, and every third one names its mount with a fresh copy
+   of the string. *)
+let check_runtime c ~dense path =
+  let spec =
+    { Spec.empty with
+      Spec.base = "scratch";
+      data_deps = [ { Spec.src = path; dst = "/m/file" }; { Spec.src = dense; dst = "/m/dense" } ] }
+  in
+  let image = Image.build spec ~fetch:read_file in
+  let dir = fresh_dir () in
+  let store = if c.with_store then Some stub_store else None in
+  let tr = Tracer.create () and to_ = Tracer.create () in
+  let mounts = Image.materialize image ~dir in
+  let rt = Runtime.boot ~tracer:tr ?store ~image ~dir () in
+  let o = Oracle.boot ~tracer:to_ ?store mounts in
+  List.iteri
+    (fun i (name, idx) ->
+      let dst = if i mod 2 = 0 then "/m/file" else "/m/dense" in
+      let dst = if i mod 3 = 2 then String.init (String.length dst) (String.get dst) else dst in
+      let got = outcome (fun () -> Runtime.try_read_element rt ~dst ~dataset:name idx)
+      and want = outcome (fun () -> Oracle.try_read_element o ~dst ~dataset:name idx) in
+      if got <> want then mismatch ("Runtime.try_read_element " ^ dst) c name idx got want)
+    (reads c);
+  let got = Runtime.stats rt and want = Oracle.stats o in
+  Runtime.shutdown rt;
+  Oracle.shutdown o;
+  List.iter (fun (_, p) -> Sys.remove p) mounts;
+  Unix.rmdir dir;
+  if got <> want then
+    QCheck.Test.fail_reportf "runtime stats differ (%s): %s vs %s" (print_case c)
+      (Runtime.stats_to_json got) (Runtime.stats_to_json want);
+  if Tracer.events tr <> Tracer.events to_ then
+    QCheck.Test.fail_reportf "runtime traces differ (%s)" (print_case c)
+
+let qcheck_reads_match_oracle =
+  QCheck.Test.make ~name:"element reads match the oracle bit for bit" ~count:60
+    (QCheck.make ~print:print_case gen_case) (fun c ->
+      with_files c (fun dense path ->
+          check_file c path;
+          check_tracer c path;
+          check_runtime c ~dense path);
+      true)
+
+(* Runs may touch: the writer coalesces them, but the format allows
+   (lo, hi) followed by (hi, hi'), and a read just past the first run
+   must find the second. *)
+let test_touching_runs () =
+  let dense = Filename.temp_file "kondo_rp_touch" ".kh5" in
+  let deb = Filename.temp_file "kondo_rp_touch_deb" ".kh5" in
+  let ds =
+    Dataset.dense ~name:"data" ~dtype:Dtype.Float64 ~shape:(Shape.create [| 8; 8 |]) ()
+  in
+  Writer.write dense [ (ds, fill) ];
+  let source = Kfile.open_file dense in
+  (* rows 2 and 5: runs (128, 192) and (320, 384) *)
+  Writer.write_debloated deb ~source ~keep:(fun _ ->
+      Interval_set.of_list [ Interval.make 128 192; Interval.make 320 384 ]);
+  Kfile.close source;
+  let b = Bytes.of_string (In_channel.with_open_bin deb In_channel.input_all) in
+  let pattern = Bytes.create 16 in
+  Bytes.set_int64_le pattern 0 128L;
+  Bytes.set_int64_le pattern 8 192L;
+  let rec find i = if Bytes.sub b i 16 = pattern then i else find (i + 1) in
+  let base = find 0 in
+  (* the second run becomes (192, 256): row 3 now holds row 5's bytes *)
+  Bytes.set_int64_le b (base + 16) 192L;
+  Bytes.set_int64_le b (base + 24) 256L;
+  Out_channel.with_open_bin deb (fun oc -> Out_channel.output_bytes oc b);
+  let f = Kfile.open_file deb and o = Oracle.open_file deb in
+  Shape.iter (Shape.create [| 8; 8 |]) (fun idx ->
+      let got = outcome (fun () -> Ok (Kfile.read_element f "data" idx))
+      and want = outcome (fun () -> Ok (Oracle.read_element o "data" idx)) in
+      Alcotest.(check string) (show_idx idx) (show want) (show got));
+  Alcotest.(check (float 0.0)) "row 3 serves row 5's bytes" (fill [| 5; 0 |])
+    (Kfile.read_element f "data" [| 3; 0 |]);
+  Kfile.close f;
+  Oracle.close o;
+  Sys.remove dense;
+  Sys.remove deb
+
+(* ---- the measured-once file port ---- *)
+
+let test_file_port_measures_once () =
+  let path = Filename.temp_file "kondo_port" ".bin" in
+  let oc = open_out_bin path in
+  output_string oc (String.init 1000 (fun i -> Char.chr (i land 255)));
+  close_out oc;
+  let port = Io_port.of_file path in
+  Alcotest.(check int) "size is the file length" 1000 (port.Io_port.size ());
+  Alcotest.(check string) "last bytes" "\xe6\xe7" (Bytes.to_string (port.Io_port.pread 998 2));
+  Alcotest.(check int) "an empty read at the end" 0 (Bytes.length (port.Io_port.pread 1000 0));
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pread %d %d" off len)
+        (Invalid_argument "Io_port.pread: out of range")
+        (fun () -> ignore (port.Io_port.pread off len)))
+    [ (999, 2); (1000, 1); (5000, 1); (-1, 1); (0, -1) ];
+  (* the length is fixed at open: appended bytes stay out of range *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc "more";
+  close_out oc;
+  Alcotest.(check int) "size fixed at open" 1000 (port.Io_port.size ());
+  Alcotest.check_raises "appended bytes out of range"
+    (Invalid_argument "Io_port.pread: out of range")
+    (fun () -> ignore (port.Io_port.pread 1000 1));
+  port.Io_port.close ();
+  Sys.remove path
+
+let suite =
+  ( "read path",
+    [ Alcotest.test_case "file port measures its length once" `Quick
+        test_file_port_measures_once;
+      Alcotest.test_case "touching runs" `Quick test_touching_runs;
+      QCheck_alcotest.to_alcotest qcheck_reads_match_oracle ] )

@@ -294,6 +294,39 @@ let test_cache_never_caches_errors () =
   let s = Cache.stats cache in
   Alcotest.(check int) "both fetches ran upstream" 2 s.Cache.single_flights
 
+(* A zero-budget cache admits nothing: every fetch is a counted miss,
+   single flight and rejection, and the fetched chunk is handed back
+   without the copy only an admitted entry needs. *)
+let test_cache_zero_budget_copies_nothing () =
+  let cache = Cache.create ~budget_bytes:0 () in
+  let chunk = bytes_of_seed 11 Chunk.default_size in
+  let upstream = ref 0 in
+  let fetch () =
+    incr upstream;
+    Ok chunk
+  in
+  let served = ref true in
+  let before = Gc.allocated_bytes () in
+  for i = 0 to 99 do
+    match Cache.get_or_fetch cache (Int64.of_int (i mod 10)) ~fetch with
+    | Ok b -> if not (Bytes.equal b chunk) then served := false
+    | Error _ -> served := false
+  done;
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "correct bytes" true !served;
+  Alcotest.(check int) "every fetch ran upstream" 100 !upstream;
+  let s = Cache.stats cache in
+  Alcotest.(check (list int)) "hits, misses, single flights, rejections, insertions"
+    [ 0; 100; 100; 100; 0 ]
+    [ s.Cache.hits; s.Cache.misses; s.Cache.single_flights; s.Cache.rejections;
+      s.Cache.insertions ];
+  Alcotest.(check (list int)) "nothing held" [ 0; 0; 0; 0 ]
+    [ s.Cache.entries; s.Cache.current_bytes; s.Cache.evictions; s.Cache.coalesced ];
+  Alcotest.(check bool)
+    (Printf.sprintf "no chunk copied (%.0f bytes allocated)" allocated)
+    true
+    (allocated < float_of_int (100 * Chunk.default_size / 4))
+
 (* ---- Server + Client over loopback ---- *)
 
 let loopback_pair ?(jobs = 1) ?(cache_bytes = 1024 * 1024) () =
@@ -628,6 +661,29 @@ let test_runtime_reads_through_store () =
 
 let remote_source ?faults ?retry img =
   match Source.of_image ?faults ?retry img with Ok r -> r | Error e -> Alcotest.fail e
+
+(* One BATCH over every chunk of one remote source: the loopback server
+   opens the source once for the request and serves each chunk's bytes. *)
+let test_remote_batch_over_one_source () =
+  let p, src, img = build_hollow_image ~n:64 () in
+  let client, store = remote_source img in
+  let f = Kondo_h5.File.open_file src in
+  let len = Kondo_h5.Dataset.logical_bytes (Kondo_h5.File.find f p.Program.dataset) in
+  let want =
+    Kondo_h5.File.read_raw f p.Program.dataset (Kondo_interval.Interval.make 0 len)
+  in
+  Kondo_h5.File.close f;
+  let chunks = (len + Chunk.default_size - 1) / Chunk.default_size in
+  Alcotest.(check bool) "many chunks" true (chunks >= 16);
+  (match store.Runtime.store_fetch ~dst:"/data" ~dataset:p.Program.dataset ~offset:0 ~length:len with
+  | Ok b -> Alcotest.(check bool) "every chunk's bytes" true (Bytes.equal b want)
+  | Error e -> Alcotest.fail (Fault.to_string e));
+  Alcotest.(check (list (pair string int))) "client stats"
+    [ ("requests", 2); ("range_gets", 1); ("fetched_chunks", chunks); ("fetched_bytes", len);
+      ("corrupt_fetches", 0); ("retries", 0); ("breaker_rejections", 0); ("cache_hits", 0) ]
+    (Client.stats_fields (Client.stats client));
+  Client.close client;
+  Sys.remove src
 
 let test_runtime_store_failure_falls_back_to_file () =
   let p, src, img = build_hollow_image () in
@@ -1023,6 +1079,8 @@ let suite =
       Alcotest.test_case "cache never caches errors" `Quick test_cache_never_caches_errors;
       Alcotest.test_case "cache read_into copies only the slice" `Quick
         test_cache_read_into_copies_slice;
+      Alcotest.test_case "zero-budget cache copies nothing" `Quick
+        test_cache_zero_budget_copies_nothing;
       Alcotest.test_case "slice reads match chunk copies" `Quick
         test_client_slice_reads_match_chunk_copies;
       Alcotest.test_case "client reads blobs over loopback" `Quick test_client_reads_blob;
@@ -1039,6 +1097,8 @@ let suite =
         test_replies_under_corruption_exact_or_error;
       Alcotest.test_case "runtime reads through the store" `Quick
         test_runtime_reads_through_store;
+      Alcotest.test_case "remote batch over one source" `Quick
+        test_remote_batch_over_one_source;
       Alcotest.test_case "store failure falls back to the file" `Quick
         test_runtime_store_failure_falls_back_to_file;
       Alcotest.test_case "smaller same-named store file degrades" `Quick
