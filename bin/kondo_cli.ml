@@ -367,8 +367,9 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
             ("server_cache_coalesced", i.Kondo_store.Proto.cache_coalesced) ]
         | Error _ -> []
       in
-      (* after the STAT round trip, which the client counts as a request *)
-      client_fields "client_" (Kondo_store.Client.stats c) @ server_counters
+      (* the snapshot the printed line shows, taken before the reporting
+         STAT round trip so the counts are the run's own *)
+      client_fields "client_" cs @ server_counters
   in
   let remote_fields =
     match remote with

@@ -98,72 +98,42 @@ let save path events =
 
 (* ---- loading ---- *)
 
-let parse_records paths events payload =
-  let n = String.length payload in
-  let pos = ref 0 in
-  while !pos < n do
-    let tag, p = get_varint payload !pos in
-    match tag with
-    | 0 ->
-      let id, p = get_varint payload p in
-      let len, p = get_varint payload p in
-      if p + len > n then failwith "Event_log: truncated path";
-      Hashtbl.replace paths id (String.sub payload p len);
-      pos := p + len
-    | 1 ->
-      let seq, p = get_varint payload p in
-      let pid, p = get_varint payload p in
-      let path_id, p = get_varint payload p in
-      let op, p = get_varint payload p in
-      let offset, p = get_varint payload p in
-      let size, p = get_varint payload p in
-      let op = op_of_code op in
-      let path =
-        match Hashtbl.find_opt paths path_id with
-        | Some s -> s
-        | None -> failwith "Event_log: undefined path id"
-      in
-      events := { Event.seq; pid; path; op; offset; size } :: !events;
-      pos := p
-    | tag -> failwith (Printf.sprintf "Event_log: bad record tag %d" tag)
-  done
-
-let load_v1 buf =
-  (* Legacy unframed stream: strict, a truncated tail is an error the
-     way it always was. *)
-  let s = Bytes.unsafe_to_string buf in
-  let n = String.length s in
+(* The records of each payload in turn; path definitions carry over
+   from one payload to the next. *)
+let parse_records payloads =
   let paths : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let events = ref [] in
-  let pos = ref (String.length magic_v1) in
-  (try
-     while !pos < n do
-       let tag, p = get_varint s !pos in
-       match tag with
-       | 0 ->
-         let id, p = get_varint s p in
-         let len, p = get_varint s p in
-         if p + len > n then failwith "Event_log: truncated path";
-         Hashtbl.replace paths id (String.sub s p len);
-         pos := p + len
-       | 1 ->
-         let seq, p = get_varint s p in
-         let pid, p = get_varint s p in
-         let path_id, p = get_varint s p in
-         let op, p = get_varint s p in
-         let offset, p = get_varint s p in
-         let size, p = get_varint s p in
-         let op = op_of_code op in
-         let path =
-           match Hashtbl.find_opt paths path_id with
-           | Some pth -> pth
-           | None -> failwith "Event_log: undefined path id"
-         in
-         events := { Event.seq; pid; path; op; offset; size } :: !events;
-         pos := p
-       | tag -> failwith (Printf.sprintf "Event_log: bad record tag %d" tag)
-     done
-   with Failure msg -> failwith msg);
+  let parse payload =
+    let n = String.length payload in
+    let pos = ref 0 in
+    while !pos < n do
+      let tag, p = get_varint payload !pos in
+      match tag with
+      | 0 ->
+        let id, p = get_varint payload p in
+        let len, p = get_varint payload p in
+        if p + len > n then failwith "Event_log: truncated path";
+        Hashtbl.replace paths id (String.sub payload p len);
+        pos := p + len
+      | 1 ->
+        let seq, p = get_varint payload p in
+        let pid, p = get_varint payload p in
+        let path_id, p = get_varint payload p in
+        let op, p = get_varint payload p in
+        let offset, p = get_varint payload p in
+        let size, p = get_varint payload p in
+        let op = op_of_code op in
+        let path =
+          match Hashtbl.find_opt paths path_id with
+          | Some s -> s
+          | None -> failwith "Event_log: undefined path id"
+        in
+        events := { Event.seq; pid; path; op; offset; size } :: !events;
+        pos := p
+      | tag -> failwith (Printf.sprintf "Event_log: bad record tag %d" tag)
+    done
+  in
+  List.iter parse payloads;
   List.rev !events
 
 let load_salvage path =
@@ -175,12 +145,13 @@ let load_salvage path =
   in
   if have_magic magic then begin
     let frames, intact = Frame.read_all buf ~pos:(String.length magic) in
-    let paths : (int, string) Hashtbl.t = Hashtbl.create 8 in
-    let events = ref [] in
-    List.iter (parse_records paths events) frames;
-    (List.rev !events, intact)
+    (parse_records frames, intact)
   end
-  else if have_magic magic_v1 then (load_v1 buf, true)
+  else if have_magic magic_v1 then
+    (* legacy unframed stream: one strict record run after the magic, a
+       truncated tail is an error the way it always was *)
+    let m = String.length magic_v1 in
+    (parse_records [ Bytes.sub_string buf m (Bytes.length buf - m) ], true)
   else if Bytes.length buf < String.length magic then
     (* shorter than any magic: nothing salvageable, treat as empty *)
     ([], false)

@@ -1,5 +1,3 @@
-(* Same IEEE 802.3 polynomial as KH5's Binio.crc32; reimplemented here
-   because this library sits below kondo_h5 in the dependency order. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
@@ -23,6 +21,12 @@ let crc32_string s = crc32 (Bytes.unsafe_of_string s)
 
 let header_len = 8
 
+(* The header at [pos]: the payload length (negative when the u32 has
+   its top bit set) and the CRC. *)
+let header buf pos =
+  ( Int32.to_int (Bytes.get_int32_le buf pos),
+    Int32.to_int (Bytes.get_int32_le buf (pos + 4)) land 0xFFFFFFFF )
+
 let write oc payload =
   let hdr = Bytes.create header_len in
   Bytes.set_int32_le hdr 0 (Int32.of_int (String.length payload));
@@ -35,8 +39,7 @@ let read_one buf pos =
   let n = Bytes.length buf in
   if pos + header_len > n then None
   else begin
-    let len = Int32.to_int (Bytes.get_int32_le buf pos) in
-    let crc = Int32.to_int (Bytes.get_int32_le buf (pos + 4)) land 0xFFFFFFFF in
+    let len, crc = header buf pos in
     if len < 0 || pos + header_len + len > n then None
     else if crc32_sub buf (pos + header_len) len <> crc then None
     else Some (Bytes.sub_string buf (pos + header_len) len, pos + header_len + len)
@@ -52,6 +55,23 @@ let read_all buf ~pos =
       | None -> (List.rev acc, false)
   in
   go pos []
+
+let input ic ~max_len =
+  match
+    let hdr = Bytes.create header_len in
+    really_input ic hdr 0 header_len;
+    let len, crc = header hdr 0 in
+    if len < 0 || len > max_len then Error "oversized or negative frame"
+    else begin
+      let payload = Bytes.create len in
+      really_input ic payload 0 len;
+      if crc32 payload <> crc then Error "frame CRC mismatch"
+      else Ok (Bytes.unsafe_to_string payload)
+    end
+  with
+  | r -> r
+  | exception End_of_file -> Error "connection closed"
+  | exception Sys_error msg -> Error msg
 
 let atomic_write path f =
   let tmp = path ^ ".tmp" in

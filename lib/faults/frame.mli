@@ -1,5 +1,10 @@
-(** Crash-safe persistence primitives: CRC-framed record streams and
-    atomic file replacement.
+(** The integrity layer: the one CRC-32, CRC-framed record streams,
+    and atomic file replacement.
+
+    Every checksummed byte the system persists or sends goes through
+    this module: KH5 sections carry {!crc32}, and block-store files,
+    event logs, campaigns and [Kondo_store.Proto] wire messages are
+    streams of frames.
 
     A frame is [u32 length][u32 CRC-32][payload], little-endian.  A
     writer that appends whole frames and flushes leaves — after a crash
@@ -12,7 +17,8 @@
     previous complete file. *)
 
 val crc32 : bytes -> int
-(** IEEE 802.3 CRC-32 (the same polynomial as KH5's [Binio.crc32]). *)
+(** IEEE 802.3 CRC-32 (the zlib/PNG one): the check value of
+    ["123456789"] is [0xCBF43926]. *)
 
 val crc32_string : string -> int
 
@@ -29,6 +35,14 @@ val read_one : bytes -> int -> (string * int) option
 val read_all : bytes -> pos:int -> string list * bool
 (** All valid frames from [pos]; the boolean is [true] iff the buffer
     ended exactly on a frame boundary (nothing was dropped). *)
+
+val input : in_channel -> max_len:int -> (string, string) result
+(** Read one frame from a channel.  The length is checked against
+    [max_len] before the payload is allocated, so a hostile header costs
+    no memory.  [Error] on end of input (["connection closed"]), a
+    length outside [[0, max_len]] (["oversized or negative frame"]), a
+    CRC mismatch (["frame CRC mismatch"]) or a read error (its message);
+    never raises. *)
 
 val atomic_write : string -> (out_channel -> unit) -> unit
 (** Run the writer against [path ^ ".tmp"], flush, and rename over

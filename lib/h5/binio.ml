@@ -48,23 +48,6 @@ let read_str16 c =
   c.pos <- c.pos + n;
   s
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 buf =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = 0 to Bytes.length buf - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
 let f64 b v = Buffer.add_int64_le b (Int64.bits_of_float v)
 
 let read_f64 c =

@@ -21,9 +21,6 @@ val read_str16 : cursor -> string
 exception Corrupt of string
 (** Raised on truncated or malformed input. *)
 
-val crc32 : bytes -> int
-(** IEEE 802.3 CRC-32 of the whole buffer. *)
-
 val f64 : Buffer.t -> float -> unit
 val read_f64 : cursor -> float
 

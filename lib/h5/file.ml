@@ -267,6 +267,6 @@ let file_size t = t.port.Io_port.size ()
 let verify t name =
   let e = entry t name in
   e.stored_len = 0
-  || Binio.crc32 (t.port.Io_port.pread e.data_off e.stored_len) = e.crc
+  || Kondo_faults.Frame.crc32 (t.port.Io_port.pread e.data_off e.stored_len) = e.crc
 
 let verify_all t = List.for_all (fun name -> verify t name) t.order

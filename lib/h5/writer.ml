@@ -112,7 +112,7 @@ let write_bytes datasets =
   in
   layout_offsets pendings;
   let sections = List.map (fun (ds, fill) -> dense_section ds fill) datasets in
-  List.iter2 (fun p sec -> p.crc <- Binio.crc32 sec) pendings sections;
+  List.iter2 (fun p sec -> p.crc <- Kondo_faults.Frame.crc32 sec) pendings sections;
   to_bytes_with sections pendings
 
 let output_file path bytes =
@@ -152,7 +152,8 @@ let write_debloated path ~source ~keep =
             Bytes.blit chunk 0 section !pos (hi - lo);
             pos := !pos + (hi - lo))
           runs;
-        ({ ds = sparse_ds; runs; stored_len; data_off = 0; crc = Binio.crc32 section }, section))
+        let crc = Kondo_faults.Frame.crc32 section in
+        ({ ds = sparse_ds; runs; stored_len; data_off = 0; crc }, section))
       (File.datasets source)
   in
   let pendings = List.map fst pendings_and_sections in

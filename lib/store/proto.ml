@@ -83,7 +83,7 @@ let finish c v = if c.pos <> Bytes.length c.buf then raise (Bad "trailing bytes"
 
 let decoding s f =
   let c = { buf = Bytes.unsafe_of_string s; pos = 0 } in
-  match f c with v -> Ok (finish c v) | exception Bad msg -> Error msg
+  match finish c (f c) with v -> Ok v | exception Bad msg -> Error msg
 
 let encode_request req =
   let b = Buffer.create 32 in
@@ -208,20 +208,4 @@ let write_message oc body =
   if String.length body > max_message then invalid_arg "Proto.write_message: oversized";
   Frame.write oc body
 
-let read_message ic =
-  match
-    let hdr = Bytes.create Frame.header_len in
-    really_input ic hdr 0 Frame.header_len;
-    let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
-    let crc = Int32.to_int (Bytes.get_int32_le hdr 4) land 0xFFFFFFFF in
-    if len < 0 || len > max_message then Error "oversized or negative frame"
-    else begin
-      let body = Bytes.create len in
-      really_input ic body 0 len;
-      if Frame.crc32 body <> crc then Error "frame CRC mismatch"
-      else Ok (Bytes.unsafe_to_string body)
-    end
-  with
-  | r -> r
-  | exception End_of_file -> Error "connection closed"
-  | exception Sys_error msg -> Error msg
+let read_message ic = Frame.input ic ~max_len:max_message

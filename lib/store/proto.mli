@@ -2,7 +2,7 @@
     messages.
 
     On a byte-stream transport every message travels as one
-    {!Kondo_faults.Frame}-style frame — [u32 length][u32 CRC-32][body] —
+    {!Kondo_faults.Frame} frame — [u32 length][u32 CRC-32][body] —
     so a torn or bit-flipped message is detected at the framing layer
     before decoding.  The body is a one-byte tag plus a binary payload;
     {!decode_request}/{!decode_response} reject anything malformed with
@@ -54,4 +54,5 @@ val write_message : out_channel -> string -> unit
 (** Frame one encoded body onto a channel and flush. *)
 
 val read_message : in_channel -> (string, string) result
-(** Read one frame; [Error] on EOF, oversized length, or CRC mismatch. *)
+(** Read one frame ({!Kondo_faults.Frame.input} capped at
+    {!max_message}); [Error] on EOF, oversized length, or CRC mismatch. *)

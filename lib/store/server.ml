@@ -160,21 +160,26 @@ let handle t body =
     (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
   encoded
 
+(* Answer one connection until its peer closes, sends garbage framing,
+   or hangs up before reading a response (a failed write, which the
+   ignored SIGPIPE turns into [Sys_error]): each drops the connection.
+   Closing the out channel closes the descriptor and discards whatever
+   a failed write left buffered. *)
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let rec loop () =
     match Proto.read_message ic with
-    | Error _ -> () (* peer closed or sent garbage framing: drop the connection *)
-    | Ok body ->
-      Proto.write_message oc (handle t body);
-      loop ()
+    | Error _ -> ()
+    | Ok body -> (
+      match Proto.write_message oc (handle t body) with
+      | () -> loop ()
+      | exception (Sys_error _ | Unix.Unix_error _) -> ())
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) loop
 
 let serve_unix t ~socket ?(on_ready = fun () -> ()) ~stop () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect

@@ -54,4 +54,9 @@ val serve_unix : t -> socket:string -> ?on_ready:(unit -> unit) -> stop:(unit ->
     connections until [stop ()] holds, answering each connection's
     requests in arrival order until its peer disconnects.  [stop] is
     consulted between connections — wake a blocked accept by connecting
-    once after flipping the flag. *)
+    once after flipping the flag.
+
+    Sets SIGPIPE to ignored for the whole process, so a client that
+    hangs up before reading its response costs only its own
+    connection: the failed write drops it and the loop accepts the
+    next one. *)

@@ -17,6 +17,7 @@ let loopback ~handle =
     peer = "loopback" }
 
 let unix_connect path =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX path)
    with exn ->
@@ -24,15 +25,9 @@ let unix_connect path =
      raise exn);
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let closed = ref false in
   { send = (fun body -> Proto.write_message oc body);
     recv = (fun () -> Proto.read_message ic);
-    close =
-      (fun () ->
-        if not !closed then begin
-          closed := true;
-          (* one close_out closes the shared fd; flush what's buffered *)
-          (try flush oc with Sys_error _ -> ());
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        end);
+    (* closing the out channel flushes it (ignoring errors) and closes
+       the shared fd; closing twice is a no-op *)
+    close = (fun () -> close_out_noerr oc);
     peer = "unix:" ^ path }

@@ -19,5 +19,8 @@ val loopback : handle:(string -> string) -> conn
     order.  [recv] before [send] reports an error instead of blocking. *)
 
 val unix_connect : string -> conn
-(** Connect to a Unix-domain socket at this path.
+(** Connect to a Unix-domain socket at this path.  Sets SIGPIPE to
+    ignored for the whole process, so a peer that hangs up makes a
+    failed write, not a dead process: [send] then raises [Sys_error],
+    which {!Client} counts as a transient fault of that exchange.
     @raise Unix.Unix_error when the socket is absent or refuses. *)

@@ -1,12 +1,10 @@
 (* Tests for the extension subsystems: hull H-representations and
-   disjunctive invariants (§VII), the persistent event log (§V), the
-   content-addressed registry, and multi-dataset debloating
-   (footnote 1). *)
+   disjunctive invariants (§VII), the persistent event log (§V), and
+   multi-dataset debloating (footnote 1). *)
 
 open Kondo_dataarray
 open Kondo_geometry
 open Kondo_audit
-open Kondo_container
 open Kondo_workload
 open Kondo_core
 
@@ -143,6 +141,48 @@ let test_event_log_bad_magic () =
    with Failure _ -> ());
   Sys.remove path
 
+(* A v1 log, the legacy unframed format, built byte by byte: the magic,
+   then LEB128 records — tag 0 defines a path id, tag 1 is an event
+   (seq, pid, path id, op, offset, size). *)
+let v1_log =
+  String.concat ""
+    [ "KLOG\x01";
+      "\x00\x00\x06/a.kh5";
+      "\x01\x00\x07\x00\x00\x00\x00";
+      "\x01\x01\x07\x00\x01\xac\x02\x10";
+      "\x00\x01\x06/b.kh5";
+      "\x01\x02\x08\x01\x02\x80\x80\x01\x80\x20";
+      "\x01\x03\x07\x00\x04\x00\x00" ]
+
+let v1_events =
+  [ { Event.seq = 0; pid = 7; path = "/a.kh5"; op = Event.Open; offset = 0; size = 0 };
+    { Event.seq = 1; pid = 7; path = "/a.kh5"; op = Event.Read; offset = 300; size = 16 };
+    { Event.seq = 2; pid = 8; path = "/b.kh5"; op = Event.Write; offset = 16384; size = 4096 };
+    { Event.seq = 3; pid = 7; path = "/a.kh5"; op = Event.Close; offset = 0; size = 0 } ]
+
+let test_event_log_v1 () =
+  let path = Filename.temp_file "kondo_log" ".klog" in
+  let write s =
+    let oc = open_out_bin path in
+    output_string oc s;
+    close_out oc
+  in
+  write v1_log;
+  Alcotest.(check (list string)) "v1 events"
+    (List.map Event.to_string v1_events)
+    (List.map Event.to_string (Event_log.load path));
+  Alcotest.(check bool) "v1 is intact" true (snd (Event_log.load_salvage path));
+  (* v1 is strict: a truncated stream is an error, not a salvaged prefix *)
+  List.iter
+    (fun (cut, msg) ->
+      write (String.sub v1_log 0 cut);
+      Alcotest.check_raises (Printf.sprintf "cut at %d" cut) (Failure msg) (fun () ->
+          ignore (Event_log.load path)))
+    [ (9, "Event_log: truncated path");
+      (20, "Event_log: truncated varint");
+      (String.length v1_log - 1, "Event_log: truncated varint") ];
+  Sys.remove path
+
 let qcheck_event_log_roundtrip =
   QCheck.Test.make ~name:"event log roundtrips arbitrary events" ~count:100
     QCheck.(
@@ -165,75 +205,6 @@ let qcheck_event_log_roundtrip =
       let loaded = Event_log.load path in
       Sys.remove path;
       loaded = events)
-
-(* ---------------- Registry ---------------- *)
-
-let build_image program =
-  let spec =
-    { Spec.empty with
-      Spec.base = "ubuntu:20.04";
-      env_deps = [ "apt-get install -y libhdf5-dev" ];
-      data_deps = [ { Spec.src = "mem"; dst = "/app/data.kh5" } ];
-      param_space = program.Program.param_space }
-  in
-  Image.build spec ~fetch:(fun _ -> Datafile.bytes_for program)
-
-let test_registry_push_pull () =
-  let p = Stencils.ldc2d ~n:32 () in
-  let img = build_image p in
-  let reg = Registry.create () in
-  let added = Registry.push reg ~name:"app:v1" img in
-  Alcotest.(check bool) "chunks stored" true (added > 0);
-  Alcotest.(check (list string)) "manifest listed" [ "app:v1" ] (Registry.manifest_names reg);
-  let pulled, transferred = Registry.pull reg ~name:"app:v1" ~have:Merkle.HashSet.empty in
-  Alcotest.(check bool) "cold pull moves everything" true (transferred >= Image.size img - 10);
-  Alcotest.(check bool) "content identical" true
-    (Image.data_content pulled ~dst:"/app/data.kh5" = Image.data_content img ~dst:"/app/data.kh5")
-
-let test_registry_dedup_across_versions () =
-  let p = Stencils.ldc2d ~n:32 () in
-  let img = build_image p in
-  let reg = Registry.create () in
-  let first = Registry.push reg ~name:"app:v1" img in
-  let second = Registry.push reg ~name:"app:v2" img in
-  Alcotest.(check int) "identical version adds nothing" 0 second;
-  Alcotest.(check bool) "first added" true (first > 0);
-  (* pulling v2 when the client already has v1 moves almost nothing *)
-  let _, transferred =
-    Registry.pull reg ~name:"app:v2" ~have:(Registry.chunks_of reg ~name:"app:v1")
-  in
-  Alcotest.(check int) "warm pull free" 0 transferred
-
-let test_registry_debloated_shares_chunks () =
-  let p = Stencils.ldc2d ~n:32 () in
-  let img = build_image p in
-  let config = { Config.default with Config.max_iter = 300; stop_iter = 300 } in
-  let debloated, _ = Pipeline.debloat_image ~config p ~image:img ~dst:"/app/data.kh5" in
-  let reg = Registry.create () in
-  ignore (Registry.push reg ~name:"app:full" img);
-  let before = Registry.stored_bytes reg in
-  ignore (Registry.push reg ~name:"app:debloated" debloated);
-  let added = Registry.stored_bytes reg - before in
-  (* the debloated KH5 is a different serialization, but it is much
-     smaller than the full image data *)
-  Alcotest.(check bool) "debloated adds less than its own size would suggest" true
-    (added <= Image.data_size debloated)
-
-let test_registry_gc () =
-  let p = Stencils.ldc2d ~n:32 () in
-  let reg = Registry.create () in
-  ignore (Registry.push reg ~name:"a" (build_image p));
-  (* a different array size so b's data bytes do not deduplicate into a's *)
-  ignore (Registry.push reg ~name:"b" (build_image (Stencils.rdc2d ~n:48 ())));
-  let reclaimed = Registry.gc reg ~keep:[ "a" ] in
-  Alcotest.(check bool) "something reclaimed" true (reclaimed > 0);
-  Alcotest.(check (list string)) "only a remains" [ "a" ] (Registry.manifest_names reg);
-  (* kept image still pulls intact *)
-  let pulled, _ = Registry.pull reg ~name:"a" ~have:Merkle.HashSet.empty in
-  Alcotest.(check bool) "content intact" true
-    (Image.data_content pulled ~dst:"/app/data.kh5" <> None);
-  Alcotest.check_raises "b is gone" Not_found (fun () ->
-      ignore (Registry.pull reg ~name:"b" ~have:Merkle.HashSet.empty))
 
 (* ---------------- Report / JSON ---------------- *)
 
@@ -388,13 +359,8 @@ let suite =
       Alcotest.test_case "event log: replay into tracer" `Quick test_event_log_replay;
       Alcotest.test_case "event log: streaming writer" `Quick test_event_log_streaming_writer;
       Alcotest.test_case "event log: bad magic" `Quick test_event_log_bad_magic;
+      Alcotest.test_case "event log: v1 fixture" `Quick test_event_log_v1;
       QCheck_alcotest.to_alcotest qcheck_event_log_roundtrip;
-      Alcotest.test_case "registry: push/pull" `Quick test_registry_push_pull;
-      Alcotest.test_case "registry: dedup across versions" `Quick
-        test_registry_dedup_across_versions;
-      Alcotest.test_case "registry: debloated image shares chunks" `Quick
-        test_registry_debloated_shares_chunks;
-      Alcotest.test_case "registry: gc" `Quick test_registry_gc;
       Alcotest.test_case "json serialization" `Quick test_json_serialization;
       Alcotest.test_case "pipeline report json/text" `Quick test_pipeline_report_json;
       Alcotest.test_case "campaign accumulates" `Quick test_campaign_accumulates;

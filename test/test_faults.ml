@@ -221,6 +221,59 @@ let test_breaker_state_machine () =
 
 (* ---------------- Frame ---------------- *)
 
+let test_crc32_known_answer () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Frame.crc32_string "123456789");
+  Alcotest.(check int) "empty" 0 (Frame.crc32 Bytes.empty)
+
+(* [Frame.input] with a 1 KiB cap over a file holding [raw], one
+   result per call until the first [Error]. *)
+let input_all raw =
+  let path = Filename.temp_file "kondo_frame" ".bin" in
+  let oc = open_out_bin path in
+  output_string oc raw;
+  close_out oc;
+  let ic = open_in_bin path in
+  let rec go acc =
+    match Frame.input ic ~max_len:1024 with
+    | Ok p -> go (Ok p :: acc)
+    | Error _ as e -> List.rev (e :: acc)
+  in
+  let r = go [] in
+  close_in ic;
+  Sys.remove path;
+  r
+
+let test_frame_input () =
+  let framed payloads =
+    let path = Filename.temp_file "kondo_frame" ".bin" in
+    let oc = open_out_bin path in
+    List.iter (Frame.write oc) payloads;
+    close_out oc;
+    let b = Bytes.to_string (Frame.read_file path) in
+    Sys.remove path;
+    b
+  in
+  let show = function Ok p -> "ok " ^ p | Error e -> "error " ^ e in
+  let check name expected raw =
+    Alcotest.(check (list string)) name expected (List.map show (input_all raw))
+  in
+  let raw = framed [ "alpha"; ""; "gamma" ] in
+  check "frames then end" [ "ok alpha"; "ok "; "ok gamma"; "error connection closed" ] raw;
+  check "torn payload" [ "ok alpha"; "ok "; "error connection closed" ]
+    (String.sub raw 0 (String.length raw - 2));
+  let flipped = Bytes.of_string raw in
+  Bytes.set flipped (Frame.header_len + 1) 'X';
+  check "payload flipped" [ "error frame CRC mismatch" ] (Bytes.to_string flipped);
+  let header len =
+    let b = Bytes.create Frame.header_len in
+    Bytes.set_int32_le b 0 len;
+    Bytes.set_int32_le b 4 0l;
+    Bytes.to_string b
+  in
+  check "over the cap" [ "error oversized or negative frame" ] (header 1025l);
+  check "negative" [ "error oversized or negative frame" ] (header (-1l));
+  check "at the cap" [ "error connection closed" ] (header 1024l)
+
 let test_frame_roundtrip () =
   let payloads = [ "alpha"; ""; "a longer payload with \x00 bytes \xff inside" ] in
   let path = Filename.temp_file "kondo_frame" ".bin" in
@@ -386,6 +439,8 @@ let suite =
       Alcotest.test_case "retry stops on fatal" `Quick test_retry_fatal_stops;
       Alcotest.test_case "retry deadline budget" `Quick test_retry_deadline_cuts;
       Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
+      Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+      Alcotest.test_case "frame input over a channel" `Quick test_frame_input;
       Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
       Alcotest.test_case "frame truncate every byte" `Quick test_frame_truncate_every_byte;
       Alcotest.test_case "frame corrupt byte" `Quick test_frame_corrupt_byte;

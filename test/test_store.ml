@@ -87,6 +87,21 @@ let test_proto_request_roundtrip () =
   | Ok _ -> Alcotest.fail "truncated request accepted"
   | Error _ -> ()
 
+(* A body with bytes after a whole message is an [Error] for the
+   decoders and an [Err] reply from the server, not an exception that
+   kills the accept loop. *)
+let test_proto_trailing_bytes () =
+  let check what = function
+    | Error msg -> Alcotest.(check string) what "trailing bytes" msg
+    | Ok _ -> Alcotest.fail (what ^ ": trailing bytes accepted")
+  in
+  check "request" (Proto.decode_request (Proto.encode_request Proto.Stat ^ "X"));
+  check "response" (Proto.decode_response (Proto.encode_response (Proto.Stored true) ^ "X"));
+  let server = Server.create ~store:(Block_store.create ()) () in
+  match Proto.decode_response (Server.handle server "SX") with
+  | Ok (Proto.Err msg) -> Alcotest.(check string) "server reply" "bad request: trailing bytes" msg
+  | _ -> Alcotest.fail "server did not answer with Err"
+
 let test_proto_response_roundtrip () =
   let m = Chunk.manifest_of_bytes ~chunk_size:16 ~name:"r" (bytes_of_seed 1 50) in
   let resps =
@@ -1021,18 +1036,16 @@ let test_runtime_stats_rendering () =
 
 (* ---- Unix-domain socket transport ---- *)
 
-let test_unix_socket_serving () =
-  let dir = fresh_dir "kondo_sock" in
-  let socket = Filename.concat dir "store.sock" in
-  let server, _ = loopback_pair () in
-  let blob = bytes_of_seed 71 3000 in
-  let m = Server.add_blob server ~chunk_size:100 ~name:"blob" blob in
+(* Run [f socket] against [server] serving a fresh Unix socket in
+   another domain, then stop the accept loop: flip the flag, then wake
+   it with a connection. *)
+let with_unix_server server f =
+  let socket = Filename.concat (fresh_dir "kondo_sock") "store.sock" in
   let stop = Atomic.make false in
   let srv =
     Domain.spawn (fun () ->
         Server.serve_unix server ~socket ~stop:(fun () -> Atomic.get stop) ())
   in
-  let deadline = 100 in
   let rec wait_socket n =
     if Sys.file_exists socket then ()
     else if n = 0 then Alcotest.fail "socket never appeared"
@@ -1041,23 +1054,72 @@ let test_unix_socket_serving () =
       wait_socket (n - 1)
     end
   in
-  wait_socket deadline;
-  let client = Client.connect (Transport.unix_connect socket) in
-  (match Client.manifest client ~name:"" with
-  | Ok m' -> Alcotest.(check int64) "manifest over the socket" m.Chunk.root m'.Chunk.root
-  | Error e -> Alcotest.fail (Fault.to_string e));
-  (match Client.read_bytes client m ~offset:123 ~length:1717 with
-  | Ok b ->
-    Alcotest.(check bool) "socket-served slice matches" true (b = Bytes.sub blob 123 1717)
-  | Error e -> Alcotest.fail (Fault.to_string e));
-  Client.close client;
-  (* stop the accept loop: flip the flag, then wake it with a connection *)
-  Atomic.set stop true;
-  (try
-     let wake = Transport.unix_connect socket in
-     wake.Transport.close ()
-   with Unix.Unix_error _ -> ());
-  Domain.join srv
+  wait_socket 100;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      (try
+         let wake = Transport.unix_connect socket in
+         wake.Transport.close ()
+       with Unix.Unix_error _ -> ());
+      Domain.join srv)
+    (fun () -> f socket)
+
+let test_unix_socket_serving () =
+  let server, _ = loopback_pair () in
+  let blob = bytes_of_seed 71 3000 in
+  let m = Server.add_blob server ~chunk_size:100 ~name:"blob" blob in
+  with_unix_server server (fun socket ->
+      let client = Client.connect (Transport.unix_connect socket) in
+      (match Client.manifest client ~name:"" with
+      | Ok m' -> Alcotest.(check int64) "manifest over the socket" m.Chunk.root m'.Chunk.root
+      | Error e -> Alcotest.fail (Fault.to_string e));
+      (match Client.read_bytes client m ~offset:123 ~length:1717 with
+      | Ok b ->
+        Alcotest.(check bool) "socket-served slice matches" true (b = Bytes.sub blob 123 1717)
+      | Error e -> Alcotest.fail (Fault.to_string e));
+      Client.close client)
+
+(* A client that sends a request and hangs up without reading the
+   response costs only its own connection: the next client is served. *)
+let test_unix_server_survives_hangup () =
+  let server, _ = loopback_pair () in
+  let m = Server.add_blob server ~chunk_size:100 ~name:"blob" (bytes_of_seed 72 1000) in
+  with_unix_server server (fun socket ->
+      for _ = 1 to 3 do
+        let rude = Transport.unix_connect socket in
+        rude.Transport.send (Proto.encode_request Proto.Scrape);
+        rude.Transport.close ()
+      done;
+      let client = Client.connect (Transport.unix_connect socket) in
+      (match Client.manifest client ~name:"blob" with
+      | Ok m' -> Alcotest.(check int64) "served after hang-ups" m.Chunk.root m'.Chunk.root
+      | Error e -> Alcotest.fail (Fault.to_string e));
+      Client.close client)
+
+(* A peer that accepts the connection and hangs up: the client's failed
+   sends and reads are retryable errors, never a dead process (SIGPIPE)
+   or an escaped exception. *)
+let test_unix_client_vanished_peer () =
+  let socket = Filename.concat (fresh_dir "kondo_sock") "gone.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      Sys.remove socket)
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX socket);
+      Unix.listen listener 4;
+      let conn = Transport.unix_connect socket in
+      (* the connection is queued: accept it and hang up before any send *)
+      let fd, _ = Unix.accept listener in
+      Unix.close fd;
+      let client = Client.connect ~retry:{ Retry.default with Retry.max_attempts = 3 } conn in
+      (match Client.manifest client ~name:"blob" with
+      | Ok _ -> Alcotest.fail "manifest from a vanished peer"
+      | Error e -> Alcotest.(check bool) "retryable" true (Fault.is_retryable e));
+      Alcotest.(check int) "every attempt made" 3 (Client.stats client).Client.requests;
+      Client.close client)
 
 let suite =
   ( "store",
@@ -1066,6 +1128,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_chunk_offsets;
       Alcotest.test_case "proto request roundtrips" `Quick test_proto_request_roundtrip;
       Alcotest.test_case "proto response roundtrips" `Quick test_proto_response_roundtrip;
+      Alcotest.test_case "proto rejects trailing bytes" `Quick test_proto_trailing_bytes;
       Alcotest.test_case "block store basics" `Quick test_block_store_basics;
       Alcotest.test_case "block store persists across restarts" `Quick
         test_block_store_persistence;
@@ -1109,4 +1172,8 @@ let suite =
       Alcotest.test_case "one scrape tells the caches apart" `Quick
         test_one_scrape_tells_caches_apart;
       Alcotest.test_case "runtime stats render" `Quick test_runtime_stats_rendering;
-      Alcotest.test_case "unix socket serving" `Quick test_unix_socket_serving ] )
+      Alcotest.test_case "unix socket serving" `Quick test_unix_socket_serving;
+      Alcotest.test_case "unix server survives a hang-up" `Quick
+        test_unix_server_survives_hangup;
+      Alcotest.test_case "unix client survives a vanished peer" `Quick
+        test_unix_client_vanished_peer ] )
