@@ -21,6 +21,11 @@ let find_program name n m =
     Printf.eprintf "unknown program %S; try `kondo programs`\n" name;
     exit 2
 
+(* A malformed KH5 input is reported with its path. *)
+let open_kh5 ?tracer ?pid path =
+  try Kondo_h5.File.open_file ?tracer ?pid path
+  with Kondo_h5.Binio.Corrupt msg -> raise (Kondo_h5.Binio.Corrupt (path ^ ": " ^ msg))
+
 (* ---- common options ---- *)
 
 let program_arg =
@@ -411,7 +416,7 @@ let run_cmd =
       run_with_runtime p v ~path ~src:remote ~remote_store ~store_name ~store_cache
         ~retries ~deadline_ms ~plan ~stats_json
     | None, None ->
-      let f = Kondo_h5.File.open_file path in
+      let f = open_kh5 path in
       (try
          let elems = ref 0 in
          let csum = ref checksum_empty in
@@ -653,7 +658,7 @@ let audit_cmd =
   let run name n m params path log dot =
     let p = find_program name n m in
     let tracer = Kondo_audit.Tracer.create () in
-    let f = Kondo_h5.File.open_file ~tracer ~pid:1 path in
+    let f = open_kh5 ~tracer ~pid:1 path in
     let elems = Program.run_io p f (Array.of_list params) in
     Kondo_h5.File.close f;
     Printf.printf "read %d elements via %d events\n" elems
@@ -766,7 +771,7 @@ let convert_cmd =
 
 let inspect_cmd =
   let run path =
-    let f = Kondo_h5.File.open_file path in
+    let f = open_kh5 path in
     Printf.printf "%s (%d bytes)\n" path (Kondo_h5.File.file_size f);
     List.iter
       (fun ds ->

@@ -76,8 +76,7 @@ let materialize t ~dir =
       | Env _ -> None
       | Data d ->
         let path = Filename.concat dir (sanitize d.dst) in
-        let oc = open_out_bin path in
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc d.content);
+        Kondo_faults.Frame.atomic_write path (fun oc -> output_bytes oc d.content);
         Some (d.dst, path))
     t.layers
 

@@ -30,8 +30,9 @@ val replace_data : t -> dst:string -> bytes -> t
     file, §III).  @raise Not_found for unknown destinations. *)
 
 val materialize : t -> dir:string -> (string * string) list
-(** Write every data layer under [dir]; returns [(dst, local_path)]
-    mappings ready for {!Kondo_h5.File.open_file}. *)
+(** Write every data layer under [dir], each replacing its file
+    atomically; returns [(dst, local_path)] mappings ready for
+    {!Kondo_h5.File.open_file}. *)
 
 val transfer_size : t -> have:Merkle.HashSet.t -> int
 (** Bytes a user holding the given chunk set must download (content-

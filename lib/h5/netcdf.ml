@@ -126,10 +126,7 @@ let write path ~dims ~vars =
       vars
   in
   let header = header_bytes ~dims ~vars ~begins in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Kondo_faults.Frame.atomic_write path (fun oc ->
       output_bytes oc header;
       List.iter
         (fun ((_, dim_ids, ty, fill) as v) ->

@@ -36,8 +36,9 @@ val write :
   vars:(string * int array * nc_type * (int array -> float)) list ->
   unit
 (** [write path ~dims ~vars] creates a classic NetCDF file.  Each var is
-    (name, dim ids, type, fill).  @raise Invalid_argument on unknown dim
-    ids or duplicate names. *)
+    (name, dim ids, type, fill).  The file is replaced atomically: a
+    fill that raises leaves the previous file whole.  @raise
+    Invalid_argument on unknown dim ids or duplicate names. *)
 
 val open_port : Io_port.t -> t
 (** @raise Binio.Corrupt on malformed input. *)

@@ -115,9 +115,7 @@ let write_bytes datasets =
   List.iter2 (fun p sec -> p.crc <- Kondo_faults.Frame.crc32 sec) pendings sections;
   to_bytes_with sections pendings
 
-let output_file path bytes =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_bytes oc bytes)
+let output_file path bytes = Kondo_faults.Frame.atomic_write path (fun oc -> output_bytes oc bytes)
 
 let write path datasets = output_file path (write_bytes datasets)
 

@@ -5,7 +5,11 @@
     offset), and the data sections.  Sparse (debloated) datasets
     additionally carry a run table: the byte ranges of the logical data
     section that are materialized, in order, concatenated in the data
-    section. *)
+    section.
+
+    Both writers replace [path] atomically ({!Kondo_faults.Frame.atomic_write}):
+    a writer that fails leaves the previous file whole, and a reader
+    that mapped the previous file keeps reading it. *)
 
 val magic : string
 

@@ -1,11 +1,12 @@
-(* The per-element read path that the measured-once file port, the
+(* The per-element read path that the mapped file port, the
    allocation-free offsets, the flat run table and the memoized dataset
-   entry and mount replaced, kept verbatim: [in_channel_length] on every
-   [pread], tuple run tables searched into an option, a [Hashtbl] lookup
-   of the dataset and a mount list scan per read.  [Kondo_h5.File] and
-   [Kondo_container.Runtime] must agree with it read for read: the same
-   values bit for bit, the same [Data_missing] records, the same
-   [Degraded] causes, counts and [pread] calls. *)
+   entry and mount replaced, kept verbatim: a channel port with
+   [in_channel_length] on every [pread], tuple run tables searched into
+   an option, a [Hashtbl] lookup of the dataset and a mount list scan
+   per read.  [Kondo_h5.File] and [Kondo_container.Runtime] must agree
+   with it read for read: the same values bit for bit, the same
+   [Data_missing] records, the same [Degraded] causes, counts and
+   [pread] calls. *)
 
 open Kondo_dataarray
 open Kondo_interval

@@ -51,6 +51,18 @@ let test_debloat g () =
       Alcotest.(check int) "carve hulls" g.hulls (List.length carve.Carver.hulls);
       Alcotest.(check string) "debloated file digest" g.digest (Digest.to_hex (Digest.file dst)))
 
+(* [kondo debloat F F]: the source is still mapped for reading while
+   the debloated file replaces it, and the bytes are the golden ones. *)
+let test_debloat_in_place g () =
+  let p = program g in
+  let path = Filename.temp_file "kondo_golden_inplace" ".kh5" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Datafile.write_for ~path p;
+      ignore (Pipeline.debloat_file ~config p ~src:path ~dst:path);
+      Alcotest.(check string) "debloated file digest" g.digest (Digest.to_hex (Digest.file path)))
+
 (* [kondo invariant -p PRL3D -m 32]: the carved hull as printed halfspaces,
    which fixes every face of the merged Hull3d and their order. *)
 let prl3d_32_invariant =
@@ -74,4 +86,6 @@ let suite =
     List.map
       (fun g -> Alcotest.test_case ("debloat bytes: " ^ label g) `Quick (test_debloat g))
       goldens
-    @ [ Alcotest.test_case "invariant: PRL3D 32^3" `Quick test_invariant ] )
+    @ [ Alcotest.test_case "invariant: PRL3D 32^3" `Quick test_invariant;
+        Alcotest.test_case "debloat in place: CS3 256^2" `Quick
+          (test_debloat_in_place (List.find (fun g -> g.name = "CS3") goldens)) ] )

@@ -47,6 +47,27 @@ let test_multiple_vars_share_dims () =
   Alcotest.(check (float 1e-9)) "b" 30.0 (Netcdf.read_element f "b" [| 3 |]);
   Netcdf.close f
 
+(* A write that fails part-way leaves the previous file whole: the new
+   bytes go to a temporary file that replaces it only when complete. *)
+let test_failed_write_keeps_previous () =
+  let path = tmp "atomic.nc" in
+  let write second =
+    Netcdf.write path
+      ~dims:[ { Netcdf.dim_name = "t"; size = 4 } ]
+      ~vars:
+        [ ("a", [| 0 |], Netcdf.Nc_double, fun idx -> float_of_int idx.(0));
+          ("b", [| 0 |], Netcdf.Nc_int, second) ]
+  in
+  write (fun idx -> float_of_int idx.(0));
+  let before = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.check_raises "fill raises" (Failure "fill") (fun () ->
+      write (fun idx -> if idx.(0) = 2 then failwith "fill" else 0.0));
+  Alcotest.(check string) "previous bytes" before (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check bool) "no temporary left" false (Sys.file_exists (path ^ ".tmp"));
+  let f = Netcdf.open_file path in
+  Alcotest.(check (float 1e-9)) "previous values" 3.0 (Netcdf.read_element f "b" [| 3 |]);
+  Netcdf.close f
+
 let test_big_endian_layout () =
   (* spot-check the on-disk encoding: magic, numrecs, and that an
      Nc_int 1 encodes big-endian *)
@@ -170,6 +191,8 @@ let suite =
       Alcotest.test_case "malformed open closes its port" `Quick test_malformed_open_closes_port;
       Alcotest.test_case "roundtrip all types" `Quick test_roundtrip_all_types;
       Alcotest.test_case "multiple vars share dims" `Quick test_multiple_vars_share_dims;
+      Alcotest.test_case "failed write keeps the previous file" `Quick
+        test_failed_write_keeps_previous;
       Alcotest.test_case "big-endian on-disk layout" `Quick test_big_endian_layout;
       Alcotest.test_case "read_slab clips" `Quick test_read_slab_clips;
       Alcotest.test_case "audited reads" `Quick test_audited_reads;

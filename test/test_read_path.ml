@@ -317,9 +317,138 @@ let test_file_port_measures_once () =
   port.Io_port.close ();
   Sys.remove path
 
+(* ---- the mapped file port against the channel port ---- *)
+
+let write_temp contents =
+  let path = Filename.temp_file "kondo_port" ".bin" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  path
+
+let pread_outcome port (off, len) =
+  match port.Io_port.pread off len with
+  | b -> "bytes " ^ Digest.to_hex (Digest.bytes b)
+  | exception e -> Printexc.to_string e
+
+(* Files of 0-70 KiB, so reads straddle the channel's old 64 KiB buffer,
+   read at random ranges, some of them outside the file. *)
+let qcheck_port_matches_channel =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 (70 * 1024) >>= fun n ->
+      int_bound 1_000_000 >>= fun seed ->
+      list_size (int_range 1 40)
+        (pair (int_range (-2) (n + 2)) (int_range (-2) (min (n + 2) (20 * 1024))))
+      >|= fun reads -> (n, seed, reads))
+  in
+  let print (n, seed, reads) =
+    Printf.sprintf "%d bytes, seed %d, reads %s" n seed
+      (String.concat " " (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) reads))
+  in
+  QCheck.Test.make ~name:"mapped port reads as the channel port" ~count:60
+    (QCheck.make ~print gen) (fun (n, seed, reads) ->
+      let rng = Random.State.make [| seed |] in
+      let path = write_temp (String.init n (fun _ -> Char.chr (Random.State.int rng 256))) in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let port = Io_port.of_file path and oracle = Oracle.port_of_file path in
+          Fun.protect
+            ~finally:(fun () ->
+              port.Io_port.close ();
+              oracle.Io_port.close ())
+            (fun () ->
+              port.Io_port.size () = oracle.Io_port.size ()
+              && List.for_all
+                   (fun r ->
+                     let got = pread_outcome port r and want = pread_outcome oracle r in
+                     got = want
+                     || QCheck.Test.fail_reportf "pread %d %d: %s, channel %s" (fst r) (snd r) got
+                          want)
+                   reads)))
+
+let test_empty_file_port () =
+  let path = write_temp "" in
+  let port = Io_port.of_file path in
+  Alcotest.(check int) "size" 0 (port.Io_port.size ());
+  Alcotest.(check int) "an empty read" 0 (Bytes.length (port.Io_port.pread 0 0));
+  Alcotest.check_raises "one byte" (Invalid_argument "Io_port.pread: out of range") (fun () ->
+      ignore (port.Io_port.pread 0 1));
+  port.Io_port.close ();
+  Sys.remove path
+
+let test_pread_after_close () =
+  let path = write_temp "0123456789" in
+  let port = Io_port.of_file path in
+  Alcotest.(check string) "open read" "2345" (Bytes.to_string (port.Io_port.pread 2 4));
+  port.Io_port.close ();
+  (match port.Io_port.pread 2 4 with
+  | _ -> Alcotest.fail "pread after close returned bytes"
+  | exception Sys_error _ -> ());
+  Sys.remove path
+
+let check_open_error label path =
+  match Io_port.of_file path with
+  | port ->
+    port.Io_port.close ();
+    Alcotest.failf "%s opened" label
+  | exception Sys_error msg ->
+    let prefix = path ^ ": " in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S names the path" label msg)
+      true
+      (String.length msg > String.length prefix
+      && String.sub msg 0 (String.length prefix) = prefix)
+
+let test_open_errors () =
+  let dir = Filename.temp_file "kondo_port_dir" "" in
+  Sys.remove dir;
+  check_open_error "a missing path" (Filename.concat dir "missing.bin");
+  Sys.mkdir dir 0o755;
+  check_open_error "a directory" dir;
+  Sys.rmdir dir
+
+let mapped path =
+  In_channel.with_open_text "/proc/self/maps" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.exists (String.ends_with ~suffix:path)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* The descriptor is closed at open and the mapping goes with the port:
+   nothing of the file stays in the process after [close] and a major
+   collection. *)
+let test_close_releases_file () =
+  if Sys.file_exists "/proc/self/maps" then begin
+    let path = write_temp (String.make 10_000 'k') in
+    let before = open_fds () in
+    let port = Io_port.of_file path in
+    Alcotest.(check int) "no descriptor held while open" before (open_fds ());
+    Alcotest.(check bool) "mapped while open" true (mapped path);
+    ignore (port.Io_port.pread 4096 100);
+    port.Io_port.close ();
+    Gc.full_major ();
+    Alcotest.(check bool) "unmapped after close" false (mapped path);
+    (* the closed port itself is still live here *)
+    Alcotest.(check int) "size after close" 10_000 (port.Io_port.size ());
+    for _ = 1 to 200 do
+      let port = Io_port.of_file path in
+      ignore (port.Io_port.pread 0 8);
+      port.Io_port.close ()
+    done;
+    Gc.full_major ();
+    Alcotest.(check int) "descriptors unchanged" before (open_fds ());
+    Alcotest.(check bool) "no mapping left" false (mapped path);
+    Sys.remove path
+  end
+
 let suite =
   ( "read path",
     [ Alcotest.test_case "file port measures its length once" `Quick
         test_file_port_measures_once;
       Alcotest.test_case "touching runs" `Quick test_touching_runs;
+      Alcotest.test_case "empty file port" `Quick test_empty_file_port;
+      Alcotest.test_case "pread after close" `Quick test_pread_after_close;
+      Alcotest.test_case "open errors name the path" `Quick test_open_errors;
+      Alcotest.test_case "close releases the file" `Quick test_close_releases_file;
+      QCheck_alcotest.to_alcotest qcheck_port_matches_channel;
       QCheck_alcotest.to_alcotest qcheck_reads_match_oracle ] )
