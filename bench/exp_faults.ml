@@ -5,11 +5,12 @@
    a large fraction of ground-truth reads miss locally and travel the
    runtime's one miss path: a loopback chunk server over the source file
    (digested on the first miss, each chunk read on its first fetch) and
-   every miss is a store-client exchange — retry with
+   each block fetch is a store-client exchange — retry with
    backoff, circuit breaker, per-chunk digest verification — while a
    deterministic fault plan injects transient failures, timeouts, short
    reads and corrupted chunks at increasing rates.  The client has no
-   chunk cache, so every miss is one exchange the plan can hit.  For
+   chunk cache, so every block fetch is one exchange the plan can hit;
+   the runtime's overlay serves later misses into a fetched block.  For
    every transient-only row the runtime must serve 100% of the
    ground-truth reads (the §VI contract, given a sufficient retry
    budget); a permanent-fault row shows reads degrading to structured

@@ -393,7 +393,10 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
   | None -> ()
   | Some file ->
     let oc = open_out file in
-    output_string oc (Runtime.stats_to_json ~extra:(store_fields @ remote_fields) s);
+    output_string oc
+      (Runtime.stats_to_json
+         ~extra:((("fetched_blocks", Runtime.fetched_blocks rt) :: store_fields) @ remote_fields)
+         s);
     output_char oc '\n';
     close_out oc;
     Printf.printf "stats written to %s\n" file);

@@ -24,15 +24,17 @@ let stats_to_json ?(extra = []) s =
       (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) (stats_fields s @ extra))
   ^ "}"
 
-(* The runtime's counters, one per [stats] field, linked to the
-   process-wide [kondo_runtime_*] series.  Retry, breaker and
-   corrupt-chunk counts live with the store client that does that work. *)
+(* The runtime's counters, one per [stats] field plus [fetched_blocks],
+   linked to the process-wide [kondo_runtime_*] series.  Retry, breaker
+   and corrupt-chunk counts live with the store client that does that
+   work. *)
 type counters = {
   reads : Registry.counter;
   misses : Registry.counter;
   store_fetches : Registry.counter;
   store_bytes : Registry.counter;
   degraded_reads : Registry.counter;
+  fetched_blocks : Registry.counter;
 }
 
 let counters () =
@@ -40,13 +42,18 @@ let counters () =
   { reads = c "kondo_runtime_reads_total" "Element reads issued to the runtime";
     misses = c "kondo_runtime_misses_total" "Reads that missed the local debloated file";
     store_fetches = c "kondo_runtime_store_fetches_total" "Misses served by the store source";
-    store_bytes = c "kondo_runtime_store_bytes_total" "Bytes fetched from the store source";
-    degraded_reads = c "kondo_runtime_degraded_reads_total" "Reads that degraded" }
+    store_bytes = c "kondo_runtime_store_bytes_total" "Element bytes of the misses served";
+    degraded_reads = c "kondo_runtime_degraded_reads_total" "Reads that degraded";
+    fetched_blocks =
+      c "kondo_runtime_fetched_blocks_total" "Blocks fetched from the store source into an overlay" }
 
 let fetch_seconds =
   lazy
-    (Registry.histogram ~help:"Latency of serving one miss from the store source"
+    (Registry.histogram
+       ~help:"Latency of fetching one block from the store source (overlay hits are not timed)"
        Registry.default "kondo_runtime_fetch_seconds")
+
+let block_size = 4096
 
 type store_source = {
   source_name : string;
@@ -55,7 +62,11 @@ type store_source = {
     (bytes, Fault.error) result;
 }
 
-type mount = { dst : string; local : Kfile.t }
+(* The verified blocks of one dataset of a mount, by block index.  Only
+   blocks missed into are held, each allocated when its fetch succeeds. *)
+type overlay = { dtype : Dtype.t; section : int; blocks : (int, bytes) Hashtbl.t }
+
+type mount = { dst : string; local : Kfile.t; overlays : (string, overlay) Hashtbl.t }
 
 exception Degraded of { missing : Kfile.missing; cause : Fault.error }
 
@@ -81,7 +92,8 @@ type t = {
 let boot ?tracer ?store ~image ~dir () =
   let mounts =
     List.map
-      (fun (dst, path) -> { dst; local = Kfile.open_file ?tracer path })
+      (fun (dst, path) ->
+        { dst; local = Kfile.open_file ?tracer path; overlays = Hashtbl.create 2 })
       (Image.materialize image ~dir)
   in
   { mounts; store; n = counters (); last = None; last_dst = "" }
@@ -104,27 +116,57 @@ let mount t dst =
 
 let file t ~dst = (mount t dst).local
 
-(* Serve a miss from the store source: one element's bytes at the miss
-   offset of the dataset's logical data section.  A store failure (or a
-   wrong-sized payload) degrades to a structured [Degraded]. *)
-let fetch_store t m ~dataset (miss : Kfile.missing) s =
-  let dt = (Kfile.find m.local dataset).Kondo_h5.Dataset.dtype in
-  let esz = Dtype.size dt in
-  let outcome =
-    match s.store_fetch ~dst:m.dst ~dataset ~offset:miss.Kfile.offset ~length:esz with
-    | Ok b when Bytes.length b = esz -> Ok b
-    | Ok b ->
-      Error
-        (Fault.Corrupt
-           (Printf.sprintf "store %s returned %d bytes, wanted %d" s.source_name
-              (Bytes.length b) esz))
-    | Error e -> Error e
-  in
-  match outcome with
-  | Ok b ->
+let overlay m dataset =
+  match Hashtbl.find_opt m.overlays dataset with
+  | Some o -> o
+  | None ->
+    let ds = Kfile.find m.local dataset in
+    let o =
+      { dtype = ds.Kondo_h5.Dataset.dtype;
+        section = Kondo_h5.Dataset.logical_bytes ds;
+        blocks = Hashtbl.create 16 }
+    in
+    Hashtbl.add m.overlays dataset o;
+    o
+
+(* The block at index [b] of [o]: from the overlay, or fetched whole from
+   the store source and kept only when it has exactly the asked length.
+   A failure caches nothing, so the next miss into the block asks again. *)
+let block t m ~dataset o b s =
+  match Hashtbl.find_opt o.blocks b with
+  | Some blk -> Ok blk
+  | None ->
+    let offset = b * block_size in
+    let length = min block_size (o.section - offset) in
+    let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
+    let r =
+      match s.store_fetch ~dst:m.dst ~dataset ~offset ~length with
+      | Ok blk when Bytes.length blk = length ->
+        Hashtbl.add o.blocks b blk;
+        Registry.inc t.n.fetched_blocks;
+        Ok blk
+      | Ok blk ->
+        Error
+          (Fault.Corrupt
+             (Printf.sprintf "store %s returned %d bytes, wanted %d" s.source_name
+                (Bytes.length blk) length))
+      | Error e -> Error e
+    in
+    Registry.observe (Lazy.force fetch_seconds)
+      (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
+    r
+
+(* Serve a miss from the block that holds its offset.  Every element size
+   divides [block_size] and element offsets are multiples of the element
+   size, so an element never straddles two blocks. *)
+let serve_miss t m ~dataset (miss : Kfile.missing) s =
+  let o = overlay m dataset in
+  let b = miss.Kfile.offset / block_size in
+  match block t m ~dataset o b s with
+  | Ok blk ->
     Registry.inc t.n.store_fetches;
-    Registry.inc ~by:esz t.n.store_bytes;
-    Ok (Dtype.decode dt b 0)
+    Registry.inc ~by:(Dtype.size o.dtype) t.n.store_bytes;
+    Ok (Dtype.decode o.dtype blk (miss.Kfile.offset - (b * block_size)))
   | Error cause ->
     Registry.inc t.n.degraded_reads;
     Error (Degraded { missing = miss; cause })
@@ -138,20 +180,10 @@ let try_read_element t ~dst ~dataset idx =
     Registry.inc t.n.misses;
     match t.store with
     | None -> Error (Kfile.Data_missing miss)
-    | Some s ->
-      let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
-      let result = fetch_store t m ~dataset miss s in
-      Registry.observe (Lazy.force fetch_seconds)
-        (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
-      result)
+    | Some s -> serve_miss t m ~dataset miss s)
 
 let read_element t ~dst ~dataset idx =
   match try_read_element t ~dst ~dataset idx with Ok v -> v | Error exn -> raise exn
-
-let read_slab t ~dst ~dataset slab f =
-  let m = mount t dst in
-  let shape = (Kfile.find m.local dataset).Kondo_h5.Dataset.shape in
-  Hyperslab.iter ~clip:shape slab (fun idx -> f idx (read_element t ~dst ~dataset idx))
 
 let stats t : stats =
   let v = Registry.counter_value in
@@ -161,4 +193,11 @@ let stats t : stats =
     store_bytes = v t.n.store_bytes;
     degraded_reads = v t.n.degraded_reads }
 
-let shutdown t = List.iter (fun m -> Kfile.close m.local) t.mounts
+let fetched_blocks t = Registry.counter_value t.n.fetched_blocks
+
+let shutdown t =
+  List.iter
+    (fun m ->
+      Kfile.close m.local;
+      Hashtbl.reset m.overlays)
+    t.mounts

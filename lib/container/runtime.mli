@@ -1,4 +1,3 @@
-open Kondo_dataarray
 open Kondo_audit
 
 (** Kondo's user-side runtime (paper §III, hardened per §VI).
@@ -16,13 +15,32 @@ open Kondo_audit
     to a loopback server over the image's own source files.  When the
     source cannot serve a miss the read degrades to a structured
     {!Degraded} error carrying the missing offset and the cause — never
-    an arbitrary leaked exception. *)
+    an arbitrary leaked exception.
+
+    {b The block overlay.}  Each mount keeps an overlay of verified
+    blocks, filled lazily the way a debloated filesystem is served at
+    block granularity.  A block is the {!block_size} bytes at a
+    {!block_size}-aligned offset of a dataset's logical data section;
+    the last block stops at the end of the section.  A miss whose block
+    is absent makes one [store_fetch] for the whole block; every later
+    miss into that block is decoded from the overlay, with no store
+    round trip, for the lifetime of the mount.
+
+    - {b What is cached.}  A block is kept only when [store_fetch]
+      returns [Ok] with exactly the requested length.  A failed or
+      wrong-sized fetch degrades the read that asked for it and caches
+      nothing, so the next miss into that block asks the source again.
+    - {b Memory.}  The overlay holds only the blocks missed into, so it
+      never exceeds the dataset's logical size; nothing that size is
+      allocated up front.  Mounts do not share blocks, even for the same
+      dataset name.
+    - {b Lifetime.}  The overlay is dropped at {!shutdown}. *)
 
 type stats = {
   reads : int;          (** element reads served *)
   misses : int;         (** reads that hit carved-away data *)
-  store_fetches : int;  (** misses satisfied by the store source *)
-  store_bytes : int;    (** bytes served by the store source *)
+  store_fetches : int;  (** misses served, from the overlay or a block fetch *)
+  store_bytes : int;    (** element bytes of the misses served *)
   degraded_reads : int; (** misses the store source could not serve *)
 }
 
@@ -46,6 +64,11 @@ type store_source = {
     store ([Kondo_store.Source]) plugs into the runtime without the
     container layer depending on it. *)
 
+val block_size : int
+(** The overlay's block size in bytes (4096).  It equals
+    [Kondo_store.Chunk.default_size], so with default chunking a block
+    fetch is exactly one chunk and one range GET. *)
+
 exception Degraded of { missing : Kondo_h5.File.missing; cause : Kondo_faults.Fault.error }
 (** The structured data-missing-with-cause failure of the miss path:
     which offset was missing locally, and why the store source could not
@@ -68,9 +91,6 @@ val try_read_element :
 (** Non-raising variant: [Error] carries exactly the exception
     {!read_element} would have raised. *)
 
-val read_slab :
-  t -> dst:string -> dataset:string -> Hyperslab.t -> (int array -> float -> unit) -> unit
-
 val file : t -> dst:string -> Kondo_h5.File.t
 (** Direct access to an opened data file.
     @raise Invalid_argument for an unknown mount point, naming the
@@ -81,4 +101,11 @@ val stats : t -> stats
     process-wide [kondo_runtime_*_total] series, which sums every
     runtime. *)
 
+val fetched_blocks : t -> int
+(** Blocks that entered this runtime's overlays
+    ([kondo_runtime_fetched_blocks_total] sums every runtime).  Kept out
+    of {!stats}, which counts element reads as any per-element runtime
+    would. *)
+
 val shutdown : t -> unit
+(** Close the data files and drop every mount's overlay. *)

@@ -57,11 +57,13 @@ let of_client ?(store_name = "") ~image client =
     client
 
 (* Run [f] on the opened KH5 file [src]; an absent, unreadable or
-   malformed file is an error naming it. *)
+   malformed file is an error naming it once.  An open error's message
+   already starts with the path. *)
 let with_file src f =
   let fail msg = Error (Printf.sprintf "cannot serve remote source %s: %s" src msg) in
   match Kfile.open_file src with
-  | exception (Sys_error msg | Kondo_h5.Binio.Corrupt msg) -> fail msg
+  | exception Sys_error msg -> Error ("cannot serve remote source " ^ msg)
+  | exception Kondo_h5.Binio.Corrupt msg -> fail msg
   | file -> (
     match Fun.protect ~finally:(fun () -> Kfile.close file) (fun () -> f file) with
     | r -> Ok r

@@ -157,19 +157,23 @@ let reads c =
   let forward = interleave (List.map per_ds c.dss) in
   forward @ List.rev forward
 
-(* A deterministic store: by element slot, a transient failure, a
-   wrong-sized payload or bytes derived from the request. *)
-let stub_store =
+(* A deterministic byte-addressed store, as a real one is: byte [p] of a
+   mount's dataset is a function of [p], whatever range asks for it.
+   Whether a request is served, fails transiently or gets a wrong-sized
+   payload depends only on the 4 KiB block it starts in, so an element
+   request and the runtime's block request for the same byte meet the
+   same outcome.  [seed] picks which blocks meet which outcome. *)
+let stub_byte ~dst ~dataset p = Char.chr (((p * 13) + Hashtbl.hash (dst, dataset)) land 255)
+
+let stub_store seed =
   { Runtime.source_name = "stub";
     store_fetch =
       (fun ~dst ~dataset ~offset ~length ->
-        match offset / length mod 4 with
-        | 0 -> Error (Fault.Transient (Printf.sprintf "%s#%s@%d" dst dataset offset))
+        let block = offset / 4096 in
+        match Hashtbl.hash (seed, dst, dataset, block) mod 4 with
+        | 0 -> Error (Fault.Transient (Printf.sprintf "%s#%s block %d" dst dataset block))
         | 1 -> Ok (Bytes.make (length + 1) 'x')
-        | _ ->
-          Ok
-            (Bytes.init length (fun i ->
-                 Char.chr (((offset * 7) + (i * 13) + String.length dataset) land 255)))) }
+        | _ -> Ok (Bytes.init length (fun i -> stub_byte ~dst ~dataset (offset + i)))) }
 
 let fresh_dir () =
   let dir = Filename.temp_file "kondo_rp" "" in
@@ -207,6 +211,12 @@ let check_tracer c path =
     QCheck.Test.fail_reportf "traced events differ (%s): %d vs %d" (print_case c)
       (Tracer.event_count tf) (Tracer.event_count to_)
 
+(* The runtime asks for a block and the oracle for an element, so the
+   message of a wrong-sized reply names different lengths. *)
+let wrong_size = function
+  | Degraded (m, Fault.Corrupt _) -> Degraded (m, Fault.Corrupt "wrong size")
+  | o -> o
+
 (* Two mounts, the file under test and the dense file; reads alternate
    between them, and every third one names its mount with a fresh copy
    of the string. *)
@@ -218,7 +228,7 @@ let check_runtime c ~dense path =
   in
   let image = Image.build spec ~fetch:read_file in
   let dir = fresh_dir () in
-  let store = if c.with_store then Some stub_store else None in
+  let store = if c.with_store then Some (stub_store c.seed) else None in
   let tr = Tracer.create () and to_ = Tracer.create () in
   let mounts = Image.materialize image ~dir in
   let rt = Runtime.boot ~tracer:tr ?store ~image ~dir () in
@@ -227,8 +237,8 @@ let check_runtime c ~dense path =
     (fun i (name, idx) ->
       let dst = if i mod 2 = 0 then "/m/file" else "/m/dense" in
       let dst = if i mod 3 = 2 then String.init (String.length dst) (String.get dst) else dst in
-      let got = outcome (fun () -> Runtime.try_read_element rt ~dst ~dataset:name idx)
-      and want = outcome (fun () -> Oracle.try_read_element o ~dst ~dataset:name idx) in
+      let got = wrong_size (outcome (fun () -> Runtime.try_read_element rt ~dst ~dataset:name idx))
+      and want = wrong_size (outcome (fun () -> Oracle.try_read_element o ~dst ~dataset:name idx)) in
       if got <> want then mismatch ("Runtime.try_read_element " ^ dst) c name idx got want)
     (reads c);
   let got = Runtime.stats rt and want = Oracle.stats o in
@@ -287,6 +297,147 @@ let test_touching_runs () =
   Oracle.close o;
   Sys.remove dense;
   Sys.remove deb
+
+(* ---- the runtime's block overlay ---- *)
+
+(* A runtime over [dsts], each a mount of one fully carved-away file with
+   a 1000-element float64 dataset "d" (8000 bytes: a whole block and a
+   3904-byte last block) and a 1025-element int32 dataset "i" (4100
+   bytes: a 4-byte last block).  [serve] decides each store call from
+   the number of earlier calls into the same block; every call is
+   recorded. *)
+let with_overlay_runtime ?(dsts = [ "/m/a" ]) serve f =
+  let dense = Filename.temp_file "kondo_ov_dense" ".kh5" in
+  let deb = Filename.temp_file "kondo_ov_deb" ".kh5" in
+  let dir = fresh_dir () in
+  let dss =
+    [ Dataset.dense ~name:"d" ~dtype:Dtype.Float64 ~shape:(Shape.create [| 1000 |]) ();
+      Dataset.dense ~name:"i" ~dtype:Dtype.Int32 ~shape:(Shape.create [| 1025 |]) () ]
+  in
+  Writer.write dense (List.map (fun ds -> (ds, fill)) dss);
+  let source = Kfile.open_file dense in
+  Writer.write_debloated deb ~source ~keep:(fun _ -> Interval_set.empty);
+  Kfile.close source;
+  let calls = ref [] in
+  let store =
+    { Runtime.source_name = "stub";
+      store_fetch =
+        (fun ~dst ~dataset ~offset ~length ->
+          let earlier =
+            List.length
+              (List.filter (fun (d, n, o, _) -> d = dst && n = dataset && o = offset) !calls)
+          in
+          calls := (dst, dataset, offset, length) :: !calls;
+          match serve ~earlier with
+          | `Fail -> Error (Fault.Transient "down")
+          | `Size n -> Ok (Bytes.init n (fun i -> stub_byte ~dst ~dataset (offset + i)))
+          | `Serve -> Ok (Bytes.init length (fun i -> stub_byte ~dst ~dataset (offset + i)))) }
+  in
+  let spec =
+    { Spec.empty with
+      Spec.base = "scratch";
+      data_deps = List.map (fun dst -> { Spec.src = deb; dst }) dsts }
+  in
+  let image = Image.build spec ~fetch:read_file in
+  let rt = Runtime.boot ~store ~image ~dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.shutdown rt;
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Unix.rmdir dir;
+      List.iter Sys.remove [ dense; deb ])
+    (fun () -> f rt (fun () -> List.rev !calls))
+
+(* The value the stub's bytes decode to at element [k] of "d" (float64)
+   or "i" (int32) on mount [dst]. *)
+let stub_value ~dst ~dataset k =
+  let dt = if dataset = "d" then Dtype.Float64 else Dtype.Int32 in
+  let esz = Dtype.size dt in
+  Dtype.decode dt (Bytes.init esz (fun i -> stub_byte ~dst ~dataset ((k * esz) + i))) 0
+
+let read rt ?(dst = "/m/a") dataset k =
+  outcome (fun () -> Runtime.try_read_element rt ~dst ~dataset [| k |])
+
+let check_served rt ?(dst = "/m/a") dataset k =
+  Alcotest.(check string)
+    (Printf.sprintf "%s %s[%d]" dst dataset k)
+    (show (Value (Int64.bits_of_float (stub_value ~dst ~dataset k))))
+    (show (read rt ~dst dataset k))
+
+let calls_t = Alcotest.(list (pair (pair string string) (pair int int)))
+let call (dst, dataset, offset, length) = ((dst, dataset), (offset, length))
+
+let test_block_fetched_once () =
+  with_overlay_runtime (fun ~earlier:_ -> `Serve) (fun rt calls ->
+      for _ = 1 to 2 do
+        for k = 999 downto 0 do
+          check_served rt "d" k
+        done
+      done;
+      Alcotest.(check calls_t) "one call per block"
+        (List.map call [ ("/m/a", "d", 4096, 3904); ("/m/a", "d", 0, 4096) ])
+        (List.map call (calls ()));
+      Alcotest.(check (list (pair string int))) "stats count elements"
+        [ ("reads", 2000); ("misses", 2000); ("store_fetches", 2000); ("store_bytes", 16000);
+          ("degraded_reads", 0) ]
+        (Runtime.stats_fields (Runtime.stats rt));
+      Alcotest.(check int) "fetched blocks" 2 (Runtime.fetched_blocks rt))
+
+let test_transient_failure_not_cached () =
+  with_overlay_runtime
+    (fun ~earlier -> if earlier = 0 then `Fail else `Serve)
+    (fun rt calls ->
+      (match read rt "d" 3 with
+      | Degraded (m, Fault.Transient "down") ->
+        Alcotest.(check int) "the miss offset" 24 m.Kfile.offset
+      | o -> Alcotest.fail ("first read: " ^ show o));
+      check_served rt "d" 3;
+      check_served rt "d" 5;
+      Alcotest.(check int) "failed, then fetched once" 2 (List.length (calls ()));
+      Alcotest.(check int) "one block kept" 1 (Runtime.fetched_blocks rt);
+      Alcotest.(check int) "one degraded read" 1 (Runtime.stats rt).Runtime.degraded_reads)
+
+let test_wrong_size_not_cached () =
+  List.iter
+    (fun bad ->
+      with_overlay_runtime
+        (fun ~earlier -> if earlier = 0 then `Size bad else `Serve)
+        (fun rt calls ->
+          (match read rt "d" 0 with
+          | Degraded (m, Fault.Corrupt msg) ->
+            Alcotest.(check int) "the miss offset" 0 m.Kfile.offset;
+            Alcotest.(check string) "the cause"
+              (Printf.sprintf "store stub returned %d bytes, wanted 4096" bad)
+              msg
+          | o -> Alcotest.fail ("first read: " ^ show o));
+          check_served rt "d" 0;
+          check_served rt "d" 511;
+          Alcotest.(check int) "refetched once" 2 (List.length (calls ()));
+          Alcotest.(check int) "one block kept" 1 (Runtime.fetched_blocks rt)))
+    [ 4095; 4097; 0 ]
+
+let test_mounts_do_not_share_blocks () =
+  with_overlay_runtime ~dsts:[ "/m/a"; "/m/b" ] (fun ~earlier:_ -> `Serve) (fun rt calls ->
+      List.iter
+        (fun dst ->
+          check_served rt ~dst "d" 7;
+          check_served rt ~dst "d" 8)
+        [ "/m/a"; "/m/b"; "/m/a" ];
+      Alcotest.(check calls_t) "one fetch per mount"
+        (List.map call [ ("/m/a", "d", 0, 4096); ("/m/b", "d", 0, 4096) ])
+        (List.map call (calls ()));
+      Alcotest.(check int) "fetched blocks" 2 (Runtime.fetched_blocks rt))
+
+let test_short_last_block () =
+  with_overlay_runtime (fun ~earlier:_ -> `Serve) (fun rt calls ->
+      check_served rt "i" 1024;
+      check_served rt "i" 1023;
+      check_served rt "d" 999;
+      check_served rt "d" 512;
+      Alcotest.(check calls_t) "last blocks stop at the section's end"
+        (List.map call
+           [ ("/m/a", "i", 4096, 4); ("/m/a", "i", 0, 4096); ("/m/a", "d", 4096, 3904) ])
+        (List.map call (calls ())))
 
 (* ---- the measured-once file port ---- *)
 
@@ -450,5 +601,12 @@ let suite =
       Alcotest.test_case "pread after close" `Quick test_pread_after_close;
       Alcotest.test_case "open errors name the path" `Quick test_open_errors;
       Alcotest.test_case "close releases the file" `Quick test_close_releases_file;
+      Alcotest.test_case "overlay fetches each block once" `Quick test_block_fetched_once;
+      Alcotest.test_case "transient block failure not cached" `Quick
+        test_transient_failure_not_cached;
+      Alcotest.test_case "wrong-sized block degrades, not cached" `Quick
+        test_wrong_size_not_cached;
+      Alcotest.test_case "mounts do not share blocks" `Quick test_mounts_do_not_share_blocks;
+      Alcotest.test_case "short last block" `Quick test_short_last_block;
       QCheck_alcotest.to_alcotest qcheck_port_matches_channel;
       QCheck_alcotest.to_alcotest qcheck_reads_match_oracle ] )

@@ -670,6 +670,8 @@ let test_runtime_reads_through_store () =
   Alcotest.(check int) "nothing degraded" 0 s.Runtime.degraded_reads;
   let cs = Client.stats client in
   Alcotest.(check int) "one manifest request" 1 (cs.Client.requests - cs.Client.range_gets);
+  Alcotest.(check int) "the section's one block fetched once" 1 (Runtime.fetched_blocks rt);
+  Alcotest.(check int) "its 128-byte chunks in one range GET" 1 cs.Client.range_gets;
   Runtime.shutdown rt;
   Client.close client;
   Sys.remove src
@@ -783,6 +785,55 @@ let test_smaller_same_named_file_degrades () =
   Sys.remove small_src;
   Sys.remove src
 
+(* A block is one default chunk, so a block fetch is one range GET. *)
+let test_block_is_one_chunk () =
+  Alcotest.(check int) "Runtime.block_size" Chunk.default_size Runtime.block_size;
+  let p, src, img = build_hollow_image ~n:64 () in
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
+  let client = Client.connect conn in
+  let store = Source.of_client ~image:img client in
+  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtb") () in
+  for _ = 1 to 2 do
+    for i = 0 to 63 do
+      for j = 0 to 63 do
+        Alcotest.(check (float 1e-9)) "served" (Datafile.fill [| i; j |])
+          (Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |])
+      done
+    done
+  done;
+  let blocks = 64 * 64 * Kondo_dataarray.Dtype.size p.Program.dtype / Chunk.default_size in
+  let cs = Client.stats client in
+  Alcotest.(check int) "each block fetched once" blocks (Runtime.fetched_blocks rt);
+  Alcotest.(check int) "one range GET per block" blocks cs.Client.range_gets;
+  Alcotest.(check int) "one chunk per block" blocks cs.Client.fetched_chunks;
+  Alcotest.(check int) "every read served" (2 * 64 * 64) (Runtime.stats rt).Runtime.store_fetches;
+  Runtime.shutdown rt;
+  Client.close client;
+  Sys.remove src
+
+(* A remote source that cannot be opened is named once in the error. *)
+let test_remote_open_error_names_path_once () =
+  let _, src, img = build_hollow_image () in
+  let dir = fresh_dir "kondo_rtd" in
+  let missing = Filename.concat dir "missing.kh5" in
+  List.iter
+    (fun (path, reason) ->
+      let img =
+        { img with
+          Image.spec =
+            { img.Image.spec with Spec.data_deps = [ { Spec.src = path; dst = "/data" } ] } }
+      in
+      match Source.of_image img with
+      | Ok _ -> Alcotest.fail (path ^ " served")
+      | Error msg ->
+        Alcotest.(check string) path
+          (Printf.sprintf "cannot serve remote source %s: %s" path reason)
+          msg)
+    [ (dir, "Is a directory"); (missing, "No such file or directory") ];
+  Unix.rmdir dir;
+  Sys.remove src
+
 (* ---- One scrape tells the client and server caches apart ---- *)
 
 let cache_families =
@@ -805,17 +856,19 @@ let cache_counts (s : Cache.stats) =
 
 let test_one_scrape_tells_caches_apart () =
   let p, src, img = build_hollow_image () in
+  (* two runtimes, as two runs would boot: the second one's overlay
+     starts empty, so its misses reach the client again *)
   let read_twice store =
-    let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtc") () in
     for _ = 1 to 2 do
+      let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtc") () in
       for i = 0 to 15 do
         for j = 0 to 15 do
           Alcotest.(check (float 1e-9)) "served" (Datafile.fill [| i; j |])
             (Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |])
         done
-      done
-    done;
-    Runtime.shutdown rt
+      done;
+      Runtime.shutdown rt
+    done
   in
   let delta before owner = List.map2 ( - ) (cache_series owner) before in
   (* --remote: a client cache in front of the loopback server over the
@@ -1166,6 +1219,9 @@ let suite =
         test_runtime_store_failure_falls_back_to_file;
       Alcotest.test_case "smaller same-named store file degrades" `Quick
         test_smaller_same_named_file_degrades;
+      Alcotest.test_case "a runtime block is one chunk" `Quick test_block_is_one_chunk;
+      Alcotest.test_case "remote open error names the path once" `Quick
+        test_remote_open_error_names_path_once;
       QCheck_alcotest.to_alcotest qcheck_retryable_faults_serve_every_read;
       QCheck_alcotest.to_alcotest qcheck_permanent_faults_degrade;
       QCheck_alcotest.to_alcotest qcheck_series_sum_instances;
