@@ -12,26 +12,8 @@ module Json = struct
     | Obj of (string * t) list
     | Raw of string
 
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let float_repr f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-    else if Float.is_nan f then "null"
-    else if Float.is_integer (f *. 0.0) then Printf.sprintf "%.12g" f
-    else "null" (* infinities *)
+  (* Strings and numbers render as every other JSON the system emits. *)
+  module W = Kondo_obs.Jsonw
 
   let to_string ?(indent = 0) t =
     let b = Buffer.create 256 in
@@ -42,11 +24,8 @@ module Json = struct
       | Raw s -> Buffer.add_string b s
       | Bool v -> Buffer.add_string b (string_of_bool v)
       | Int v -> Buffer.add_string b (string_of_int v)
-      | Float f -> Buffer.add_string b (float_repr f)
-      | String s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
+      | Float f -> Buffer.add_string b (W.number f)
+      | String s -> Buffer.add_string b (W.str s)
       | List [] -> Buffer.add_string b "[]"
       | List items ->
         Buffer.add_char b '[';
@@ -74,9 +53,8 @@ module Json = struct
               nl ()
             end;
             pad (depth + 1);
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
+            Buffer.add_string b (W.str k);
+            Buffer.add_char b ':';
             if indent > 0 then Buffer.add_char b ' ';
             go (depth + 1) v)
           fields;

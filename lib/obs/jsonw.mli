@@ -1,8 +1,8 @@
 (** Minimal JSON string emission shared by the metrics and trace
-    exporters.  Number formatting is deterministic: integral floats print
-    with one decimal, others via [%.12g], NaN/infinities as [null] —
-    the same convention as the report writer in [lib/core], so every
-    JSON artifact the system emits renders numbers identically. *)
+    exporters and the report writer in [lib/core].  Number formatting is
+    deterministic: integral floats print with one decimal, others via
+    [%.12g], NaN/infinities as [null], so every JSON artifact the system
+    emits renders strings and numbers identically. *)
 
 val escape : string -> string
 (** JSON string-body escaping (no surrounding quotes). *)

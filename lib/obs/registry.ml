@@ -1,29 +1,17 @@
-(* Shard count: a small power of two.  Writers index by domain id, so
-   up to [shards] domains increment without cache-line contention; more
-   domains than shards only share counters pairwise. *)
-let shards = 16
-
-let shard_index () = (Domain.self () :> int) land (shards - 1)
-
-(* A series keeps one cell per shard; a writer adds to its domain's
-   shard.  An instance counter is a single cell plus [link], the shard of
-   its series that belongs to the domain that created it: an increment
-   adds to both, so the instance reads its own count and the exposition
-   sees the sum over every instance, without the domain-id lookup. *)
-type counter = { cells : int Atomic.t array; link : int Atomic.t option }
+(* A series is one cell.  An instance counter is its own cell plus
+   [link], the cell of its series: an increment adds to both, so the
+   instance reads its own count and the exposition sees the sum over
+   every instance. *)
+type counter = { cell : int Atomic.t; link : int Atomic.t option }
 
 type gauge = { g_cell : float Atomic.t }
 
-type hshard = {
-  h_lock : Mutex.t;
+type histogram = {
+  bounds : float array; (* strictly increasing upper bounds, no +Inf *)
+  h_lock : Mutex.t; (* guards the three fields below *)
   h_counts : int array; (* per-bucket, +Inf last *)
   mutable h_sum : float;
   mutable h_count : int;
-}
-
-type histogram = {
-  bounds : float array; (* strictly increasing upper bounds, no +Inf *)
-  h_shards : hshard array;
 }
 
 type instrument =
@@ -88,24 +76,24 @@ let register ?(labels = []) t name ~help ~make ~select =
 let counter ?(help = "") ?labels t name =
   register ?labels t name ~help
     ~make:(fun () ->
-      let c = { cells = Array.init shards (fun _ -> Atomic.make 0); link = None } in
+      let c = { cell = Atomic.make 0; link = None } in
       (c, Counter c))
     ~select:(function Counter c -> Some c | _ -> None)
 
 let instance ?help ?labels t name =
   let series = counter ?help ?labels t name in
-  { cells = [| Atomic.make 0 |]; link = Some series.cells.(shard_index ()) }
+  { cell = Atomic.make 0; link = Some series.cell }
 
 let inc ?(by = 1) c =
   if by < 0 then invalid_arg "Registry.inc: negative increment";
-  if by > 0 then
+  if by > 0 then begin
+    ignore (Atomic.fetch_and_add c.cell by);
     match c.link with
-    | None -> ignore (Atomic.fetch_and_add c.cells.(shard_index ()) by)
-    | Some series ->
-      ignore (Atomic.fetch_and_add c.cells.(0) by);
-      ignore (Atomic.fetch_and_add series by)
+    | Some series -> ignore (Atomic.fetch_and_add series by)
+    | None -> ()
+  end
 
-let counter_value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
+let counter_value c = Atomic.get c.cell
 
 let gauge ?(help = "") t name =
   register t name ~help
@@ -128,15 +116,12 @@ let histogram ?(help = "") ?(buckets = default_buckets) t name =
     buckets;
   register t name ~help
     ~make:(fun () ->
-      let n = Array.length buckets in
       let h =
         { bounds = Array.copy buckets;
-          h_shards =
-            Array.init shards (fun _ ->
-                { h_lock = Mutex.create ();
-                  h_counts = Array.make (n + 1) 0;
-                  h_sum = 0.0;
-                  h_count = 0 }) }
+          h_lock = Mutex.create ();
+          h_counts = Array.make (Array.length buckets + 1) 0;
+          h_sum = 0.0;
+          h_count = 0 }
       in
       (h, Histogram h))
     ~select:(function Histogram h -> Some h | _ -> None)
@@ -147,43 +132,38 @@ let bucket_of h v =
   go 0
 
 let observe h v =
-  let s = h.h_shards.(shard_index ()) in
-  Mutex.lock s.h_lock;
-  s.h_counts.(bucket_of h v) <- s.h_counts.(bucket_of h v) + 1;
-  s.h_sum <- s.h_sum +. v;
-  s.h_count <- s.h_count + 1;
-  Mutex.unlock s.h_lock
+  let i = bucket_of h v in
+  Mutex.lock h.h_lock;
+  h.h_counts.(i) <- h.h_counts.(i) + 1;
+  h.h_sum <- h.h_sum +. v;
+  h.h_count <- h.h_count + 1;
+  Mutex.unlock h.h_lock
 
-(* Merge the shards under their locks: (per-bucket counts, sum, count). *)
-let histogram_merge h =
+(* One consistent read under the lock: (cumulative buckets, sum, count). *)
+let histogram_snapshot h =
+  Mutex.lock h.h_lock;
+  let counts = Array.copy h.h_counts and sum = h.h_sum and count = h.h_count in
+  Mutex.unlock h.h_lock;
   let n = Array.length h.bounds in
-  let counts = Array.make (n + 1) 0 in
-  let sum = ref 0.0 and count = ref 0 in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.h_lock;
-      Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) s.h_counts;
-      sum := !sum +. s.h_sum;
-      count := !count + s.h_count;
-      Mutex.unlock s.h_lock)
-    h.h_shards;
-  (counts, !sum, !count)
+  let acc = ref 0 in
+  let buckets =
+    List.init (n + 1) (fun i ->
+        acc := !acc + counts.(i);
+        ((if i = n then infinity else h.bounds.(i)), !acc))
+  in
+  (buckets, sum, count)
 
 let histogram_count h =
-  let _, _, count = histogram_merge h in
+  let _, _, count = histogram_snapshot h in
   count
 
 let histogram_sum h =
-  let _, sum, _ = histogram_merge h in
+  let _, sum, _ = histogram_snapshot h in
   sum
 
 let histogram_buckets h =
-  let counts, _, _ = histogram_merge h in
-  let n = Array.length h.bounds in
-  let acc = ref 0 in
-  List.init (n + 1) (fun i ->
-      acc := !acc + counts.(i);
-      ((if i = n then infinity else h.bounds.(i)), !acc))
+  let buckets, _, _ = histogram_snapshot h in
+  buckets
 
 (* Every series as (name, help, label text, instrument), sorted by name
    then label text. *)
@@ -217,10 +197,10 @@ let expose t =
       | Counter c -> line "%s %d\n" sname (counter_value c)
       | Gauge g -> line "%s %s\n" sname (Jsonw.number (gauge_value g))
       | Histogram h ->
+        let buckets, sum, count = histogram_snapshot h in
         List.iter
           (fun (bound, cum) -> line "%s_bucket{le=\"%s\"} %d\n" name (le_string bound) cum)
-          (histogram_buckets h);
-        let _, sum, count = histogram_merge h in
+          buckets;
         line "%s_sum %s\n" name (Jsonw.number sum);
         line "%s_count %d\n" name count)
     (sorted_series t);
@@ -235,15 +215,15 @@ let to_json t =
       | Counter c -> counters := (name, string_of_int (counter_value c)) :: !counters
       | Gauge g -> gauges := (name, Jsonw.number (gauge_value g)) :: !gauges
       | Histogram h ->
+        let buckets, sum, count = histogram_snapshot h in
         let buckets =
           Jsonw.arr
             (List.map
                (fun (bound, cum) ->
                  Jsonw.obj
                    [ ("le", Jsonw.str (le_string bound)); ("count", string_of_int cum) ])
-               (histogram_buckets h))
+               buckets)
         in
-        let _, sum, count = histogram_merge h in
         histograms :=
           ( name,
             Jsonw.obj
@@ -261,15 +241,12 @@ let reset t =
   List.iter
     (fun (_, _, _, instr) ->
       match instr with
-      | Counter c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells
+      | Counter c -> Atomic.set c.cell 0
       | Gauge g -> Atomic.set g.g_cell 0.0
       | Histogram h ->
-        Array.iter
-          (fun s ->
-            Mutex.lock s.h_lock;
-            Array.fill s.h_counts 0 (Array.length s.h_counts) 0;
-            s.h_sum <- 0.0;
-            s.h_count <- 0;
-            Mutex.unlock s.h_lock)
-          h.h_shards)
+        Mutex.lock h.h_lock;
+        Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
+        h.h_sum <- 0.0;
+        h.h_count <- 0;
+        Mutex.unlock h.h_lock)
     (sorted_series t)

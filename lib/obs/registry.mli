@@ -1,15 +1,15 @@
 (** The metrics registry: named counters, gauges, and fixed-bucket
     histograms, safe to update concurrently from any domain.
 
-    Counters and histograms keep {e per-shard} accumulators — a writer
-    touches only the shard indexed by its domain id, so hot-path
-    increments never contend across domains — and a snapshot
-    ({!expose}, {!to_json}, or the [_value] readers) merges the shards.
-    Registration is get-or-create: asking twice for the same name (and
-    label set) returns the same series (the first registration's help
-    text and buckets win), so independent modules can share one
-    process-global registry ({!default}) without coordination.
-    Registering a name as two different kinds is an error.
+    A counter series is one atomic cell; a histogram is one bucket
+    array under its own mutex, so a snapshot ({!expose}, {!to_json}, or
+    the [_value] readers) sees each histogram's buckets, sum and count
+    from one moment.  Registration is get-or-create: asking twice for
+    the same name (and label set) returns the same series (the first
+    registration's help text and buckets win), so independent modules
+    can share one process-global registry ({!default}) without
+    coordination.  Registering a name as two different kinds is an
+    error.
 
     A counter name may carry several {e labelled series}, one per label
     set.  An object that counts its own events (a runtime, a store
@@ -44,8 +44,8 @@ val instance :
   ?help:string -> ?labels:(string * string) list -> t -> string -> counter
 (** A fresh instance counter linked to the series {!counter} returns for
     the same arguments: {!inc} adds to the instance's one cell and to
-    the series shard of the creating domain (two atomic adds, no
-    domain-id lookup), {!counter_value} reads the instance's own count.
+    the series' cell (two atomic adds), {!counter_value} reads the
+    instance's own count.
     Instances are not registered: a scrape sees their increments only
     through the series, and {!reset} leaves them alone. *)
 

@@ -9,8 +9,8 @@ let max_jobs = 64
 
 (* Fan-out observability: task/spawn counters plus a queue-wait
    histogram (seconds between fan-out start and a task being picked
-   up).  Counters are domain-safe per-shard accumulators; the per-task
-   clock read is two orders of magnitude below any real task body. *)
+   up).  Counters are domain-safe atomic cells; the per-task clock
+   read is two orders of magnitude below any real task body. *)
 let m_fanouts =
   lazy
     (Kondo_obs.Registry.counter ~help:"Pool fan-outs (map_reduce/map_list calls)"

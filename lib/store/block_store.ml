@@ -1,13 +1,9 @@
 open Kondo_faults
 
-type shard = {
-  lock : Mutex.t;
+type t = {
+  lock : Mutex.t; (* guards [tbl] and [bytes] *)
   tbl : (Chunk.id, bytes) Hashtbl.t;
   mutable bytes : int;
-}
-
-type t = {
-  shards : shard array;
   path : string option;
   io : Mutex.t; (* serializes appends and compaction *)
   mutable oc : out_channel option;
@@ -15,12 +11,6 @@ type t = {
   mutable intact : bool;
   mutable closed : bool;
 }
-
-let shard_of t id =
-  (* mix the high bits in: FNV digests are well distributed, but don't
-     rely on the low byte alone *)
-  let h = Int64.to_int (Int64.logxor id (Int64.shift_right_logical id 17)) land max_int in
-  t.shards.(h mod Array.length t.shards)
 
 let frame_payload id chunk =
   let b = Bytes.create (8 + Bytes.length chunk) in
@@ -50,12 +40,11 @@ let open_append path valid_end =
   ignore (Unix.lseek fd valid_end Unix.SEEK_SET);
   Unix.out_channel_of_descr fd
 
-let create ?(shards = 8) ?path () =
-  let shards = max 1 (min 256 shards) in
+let create ?path () =
   let t =
-    { shards =
-        Array.init shards (fun _ ->
-            { lock = Mutex.create (); tbl = Hashtbl.create 64; bytes = 0 });
+    { lock = Mutex.create ();
+      tbl = Hashtbl.create 64;
+      bytes = 0;
       path;
       io = Mutex.create ();
       oc = None;
@@ -76,10 +65,9 @@ let create ?(shards = 8) ?path () =
             match parse_frame payload with
             | None -> t.intact <- false
             | Some (id, chunk) ->
-              let s = shard_of t id in
-              if not (Hashtbl.mem s.tbl id) then begin
-                Hashtbl.add s.tbl id chunk;
-                s.bytes <- s.bytes + Bytes.length chunk;
+              if not (Hashtbl.mem t.tbl id) then begin
+                Hashtbl.add t.tbl id chunk;
+                t.bytes <- t.bytes + Bytes.length chunk;
                 t.salvaged <- t.salvaged + 1
               end)
           frames;
@@ -95,13 +83,12 @@ let locked lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let put t id chunk =
-  let s = shard_of t id in
   let fresh =
-    locked s.lock (fun () ->
-        if Hashtbl.mem s.tbl id then false
+    locked t.lock (fun () ->
+        if Hashtbl.mem t.tbl id then false
         else begin
-          Hashtbl.add s.tbl id (Bytes.copy chunk);
-          s.bytes <- s.bytes + Bytes.length chunk;
+          Hashtbl.add t.tbl id (Bytes.copy chunk);
+          t.bytes <- t.bytes + Bytes.length chunk;
           true
         end)
   in
@@ -112,40 +99,27 @@ let put t id chunk =
         | None -> ());
   fresh
 
-let get t id =
-  let s = shard_of t id in
-  locked s.lock (fun () ->
-      match Hashtbl.find_opt s.tbl id with Some b -> Some (Bytes.copy b) | None -> None)
+let get t id = locked t.lock (fun () -> Option.map Bytes.copy (Hashtbl.find_opt t.tbl id))
 
-let mem t id =
-  let s = shard_of t id in
-  locked s.lock (fun () -> Hashtbl.mem s.tbl id)
+let mem t id = locked t.lock (fun () -> Hashtbl.mem t.tbl id)
 
 let remove t id =
-  let s = shard_of t id in
-  locked s.lock (fun () ->
-      match Hashtbl.find_opt s.tbl id with
+  locked t.lock (fun () ->
+      match Hashtbl.find_opt t.tbl id with
       | None -> 0
       | Some b ->
-        Hashtbl.remove s.tbl id;
+        Hashtbl.remove t.tbl id;
         let n = Bytes.length b in
-        s.bytes <- s.bytes - n;
+        t.bytes <- t.bytes - n;
         n)
 
-let count t =
-  Array.fold_left (fun acc s -> acc + locked s.lock (fun () -> Hashtbl.length s.tbl)) 0 t.shards
+let count t = locked t.lock (fun () -> Hashtbl.length t.tbl)
 
-let stored_bytes t =
-  Array.fold_left (fun acc s -> acc + locked s.lock (fun () -> s.bytes)) 0 t.shards
+let stored_bytes t = locked t.lock (fun () -> t.bytes)
 
 let hashes t =
   List.sort Int64.compare
-    (Array.fold_left
-       (fun acc s ->
-         locked s.lock (fun () -> Hashtbl.fold (fun id _ acc -> id :: acc) s.tbl acc))
-       [] t.shards)
-
-let shard_count t = Array.length t.shards
+    (locked t.lock (fun () -> Hashtbl.fold (fun id _ acc -> id :: acc) t.tbl []))
 
 let load_report t = (t.salvaged, t.intact)
 

@@ -1,18 +1,17 @@
 (** The content-addressed chunk store behind the serve/fetch protocol.
 
-    An N-way sharded in-memory index (per-shard mutexes, so server
-    domains may touch it concurrently) over an optional on-disk backing
-    file.  The backing file is an append-only stream of
-    {!Kondo_faults.Frame} records — [u64 id][payload] per frame — so a
-    crash at any byte leaves a valid prefix: {!create} salvages every
-    complete frame, truncates the torn tail, and resumes appending.
+    An in-memory index under one mutex (server domains may touch it
+    concurrently) over an optional on-disk backing file.  The backing
+    file is an append-only stream of {!Kondo_faults.Frame} records —
+    [u64 id][payload] per frame — so a crash at any byte leaves a valid
+    prefix: {!create} salvages every complete frame, truncates the torn
+    tail, and resumes appending.
     Every {!put} of a new chunk is flushed before returning. *)
 
 type t
 
-val create : ?shards:int -> ?path:string -> unit -> t
-(** [shards] (default 8, clamped to [\[1, 256\]]) sets index fan-out.
-    With [path], chunks persist to that backing file; an existing file is
+val create : ?path:string -> unit -> t
+(** With [path], chunks persist to that backing file; an existing file is
     loaded, salvaging the longest valid frame prefix. *)
 
 val put : t -> Chunk.id -> bytes -> bool
@@ -29,9 +28,7 @@ val remove : t -> Chunk.id -> int
 val count : t -> int
 val stored_bytes : t -> int
 val hashes : t -> Chunk.id list
-(** All ids, sorted (deterministic across shard layouts). *)
-
-val shard_count : t -> int
+(** All ids, sorted (deterministic whatever the insertion order). *)
 
 val load_report : t -> int * bool
 (** [(chunks salvaged at create, intact)]: [intact] is [false] when the

@@ -25,17 +25,6 @@ type flight = {
   mutable outcome : (bytes, Fault.error) result option;
 }
 
-type shard = {
-  lock : Mutex.t;
-  cond : Condition.t;
-  tbl : (Chunk.id, node) Hashtbl.t;
-  inflight : (Chunk.id, flight) Hashtbl.t;
-  budget : int;
-  mutable head : node option; (* MRU *)
-  mutable tail : node option; (* LRU *)
-  mutable bytes : int;
-}
-
 (* The cache's counters, one per counted [stats] field, linked to the
    process-wide [kondo_store_cache_*] series of its owner. *)
 type counters = {
@@ -48,7 +37,17 @@ type counters = {
   coalesced : Registry.counter;
 }
 
-type t = { shards : shard array; n : counters }
+type t = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  tbl : (Chunk.id, node) Hashtbl.t;
+  inflight : (Chunk.id, flight) Hashtbl.t;
+  budget : int;
+  mutable head : node option; (* MRU *)
+  mutable tail : node option; (* LRU *)
+  mutable bytes : int;
+  n : counters;
+}
 
 let counters owner =
   let labels = [ ("owner", match owner with `Client -> "client" | `Server -> "server") ] in
@@ -63,115 +62,100 @@ let counters owner =
     coalesced =
       c "kondo_store_cache_coalesced_waits_total" "Callers that waited on an in-flight fetch" }
 
-let create ?(shards = 8) ?(owner = `Client) ~budget_bytes () =
+let create ?(owner = `Client) ~budget_bytes () =
   if budget_bytes < 0 then invalid_arg "Cache.create: negative budget";
-  let n = max 1 (min 256 shards) in
-  let base = budget_bytes / n and rem = budget_bytes mod n in
-  { shards =
-      Array.init n (fun i ->
-          { lock = Mutex.create ();
-            cond = Condition.create ();
-            tbl = Hashtbl.create 64;
-            inflight = Hashtbl.create 8;
-            budget = base + (if i < rem then 1 else 0);
-            head = None;
-            tail = None;
-            bytes = 0 });
+  { lock = Mutex.create ();
+    cond = Condition.create ();
+    tbl = Hashtbl.create 64;
+    inflight = Hashtbl.create 8;
+    budget = budget_bytes;
+    head = None;
+    tail = None;
+    bytes = 0;
     n = counters owner }
 
-let budget t = Array.fold_left (fun acc s -> acc + s.budget) 0 t.shards
-let shard_count t = Array.length t.shards
+let budget t = t.budget
 
-let shard_of t id =
-  let h = Int64.to_int (Int64.logxor id (Int64.shift_right_logical id 17)) land max_int in
-  t.shards.(h mod Array.length t.shards)
+(* ---- DLL plumbing (lock held) ---- *)
 
-(* ---- DLL plumbing (shard lock held) ---- *)
-
-let unlink s n =
-  (match n.prev with Some p -> p.next <- n.next | None -> s.head <- n.next);
-  (match n.next with Some x -> x.prev <- n.prev | None -> s.tail <- n.prev);
+let unlink t n =
+  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
+  (match n.next with Some x -> x.prev <- n.prev | None -> t.tail <- n.prev);
   n.prev <- None;
   n.next <- None
 
-let push_front s n =
+let push_front t n =
   n.prev <- None;
-  n.next <- s.head;
-  (match s.head with Some h -> h.prev <- Some n | None -> s.tail <- Some n);
-  s.head <- Some n
+  n.next <- t.head;
+  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
+  t.head <- Some n
 
-let drop_entry s n =
-  unlink s n;
-  Hashtbl.remove s.tbl n.key;
-  s.bytes <- s.bytes - Bytes.length n.data
+let drop_entry t n =
+  unlink t n;
+  Hashtbl.remove t.tbl n.key;
+  t.bytes <- t.bytes - Bytes.length n.data
 
-let evict_to_budget t s =
-  while s.bytes > s.budget do
-    match s.tail with
+let evict_to_budget t =
+  while t.bytes > t.budget do
+    match t.tail with
     | Some n ->
-      drop_entry s n;
+      drop_entry t n;
       Registry.inc t.n.evictions
-    | None -> s.bytes <- 0 (* unreachable: bytes > 0 implies a tail *)
+    | None -> t.bytes <- 0 (* unreachable: bytes > 0 implies a tail *)
   done
 
 (* [data] stays the caller's: it is copied only once admitted, so a
    rejected entry costs no copy. *)
-let insert t s id data =
-  (match Hashtbl.find_opt s.tbl id with Some old -> drop_entry s old | None -> ());
-  if Bytes.length data > s.budget then Registry.inc t.n.rejections
+let insert t id data =
+  (match Hashtbl.find_opt t.tbl id with Some old -> drop_entry t old | None -> ());
+  if Bytes.length data > t.budget then Registry.inc t.n.rejections
   else begin
     let n = { key = id; data = Bytes.copy data; prev = None; next = None } in
-    push_front s n;
-    Hashtbl.add s.tbl id n;
-    s.bytes <- s.bytes + Bytes.length data;
+    push_front t n;
+    Hashtbl.add t.tbl id n;
+    t.bytes <- t.bytes + Bytes.length data;
     Registry.inc t.n.insertions;
-    evict_to_budget t s
+    evict_to_budget t
   end
 
 (* The LRU touch and hit/miss accounting of one lookup.  The cached
    bytes are shared: callers copy what they hand out, under the lock. *)
-let lookup t s id =
-  match Hashtbl.find_opt s.tbl id with
+let lookup t id =
+  match Hashtbl.find_opt t.tbl id with
   | Some n ->
-    unlink s n;
-    push_front s n;
+    unlink t n;
+    push_front t n;
     Registry.inc t.n.hits;
     Some n.data
   | None ->
     Registry.inc t.n.misses;
     None
 
-let locked lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let get t id =
-  let s = shard_of t id in
-  locked s.lock (fun () -> Option.map Bytes.copy (lookup t s id))
+let get t id = locked t (fun () -> Option.map Bytes.copy (lookup t id))
 
 let read_into t id ~src_off dst ~dst_off ~len =
-  let s = shard_of t id in
-  locked s.lock (fun () ->
-      match lookup t s id with
+  locked t (fun () ->
+      match lookup t id with
       | Some data ->
         Bytes.blit data src_off dst dst_off len;
         true
       | None -> false)
 
-let put t id data =
-  let s = shard_of t id in
-  locked s.lock (fun () -> insert t s id data)
+let put t id data = locked t (fun () -> insert t id data)
 
 let get_or_fetch t id ~fetch =
-  let s = shard_of t id in
-  Mutex.lock s.lock;
-  match lookup t s id with
+  Mutex.lock t.lock;
+  match lookup t id with
   | Some data ->
     let data = Bytes.copy data in
-    Mutex.unlock s.lock;
+    Mutex.unlock t.lock;
     Ok data
   | None -> (
-    match Hashtbl.find_opt s.inflight id with
+    match Hashtbl.find_opt t.inflight id with
     | Some fl ->
       (* coalesce onto the in-flight fetch *)
       Registry.inc t.n.coalesced;
@@ -179,38 +163,33 @@ let get_or_fetch t id ~fetch =
         match fl.outcome with
         | Some r -> r
         | None ->
-          Condition.wait s.cond s.lock;
+          Condition.wait t.cond t.lock;
           wait ()
       in
       let r = wait () in
-      Mutex.unlock s.lock;
+      Mutex.unlock t.lock;
       (match r with Ok b -> Ok (Bytes.copy b) | Error _ as e -> e)
     | None ->
-      (* leader: run the upstream fetch outside the shard lock *)
+      (* leader: run the upstream fetch outside the lock *)
       let fl = { outcome = None } in
-      Hashtbl.add s.inflight id fl;
+      Hashtbl.add t.inflight id fl;
       Registry.inc t.n.single_flights;
-      Mutex.unlock s.lock;
+      Mutex.unlock t.lock;
       let r =
         match fetch () with
         | r -> r
         | exception exn -> Error (Fault.of_exn exn)
       in
-      Mutex.lock s.lock;
-      (match r with Ok b -> insert t s id b | Error _ -> ());
+      Mutex.lock t.lock;
+      (match r with Ok b -> insert t id b | Error _ -> ());
       fl.outcome <- Some r;
-      Hashtbl.remove s.inflight id;
-      Condition.broadcast s.cond;
-      Mutex.unlock s.lock;
+      Hashtbl.remove t.inflight id;
+      Condition.broadcast t.cond;
+      Mutex.unlock t.lock;
       r)
 
 let stats t : stats =
-  let bytes, entries =
-    Array.fold_left
-      (fun (bytes, entries) s ->
-        locked s.lock (fun () -> (bytes + s.bytes, entries + Hashtbl.length s.tbl)))
-      (0, 0) t.shards
-  in
+  let bytes, entries = locked t (fun () -> (t.bytes, Hashtbl.length t.tbl)) in
   let v = Registry.counter_value in
   { hits = v t.n.hits;
     misses = v t.n.misses;
@@ -223,11 +202,8 @@ let stats t : stats =
     entries }
 
 let clear t =
-  Array.iter
-    (fun s ->
-      locked s.lock (fun () ->
-          Hashtbl.reset s.tbl;
-          s.head <- None;
-          s.tail <- None;
-          s.bytes <- 0))
-    t.shards
+  locked t (fun () ->
+      Hashtbl.reset t.tbl;
+      t.head <- None;
+      t.tail <- None;
+      t.bytes <- 0)

@@ -1,10 +1,9 @@
-(** Byte-budgeted sharded LRU cache with single-flight coalescing.
+(** Byte-budgeted LRU cache with single-flight coalescing.
 
-    The byte budget is split across N shards (per-shard budget =
-    budget/N, remainder spread over the first shards), each guarded by
-    its own mutex, so the cache {e never} holds more than [budget_bytes]
-    of payload in total — an entry larger than its shard's budget is
-    served but not retained.
+    One table and one LRU list under one mutex hold at most
+    [budget_bytes] of payload: any entries that total at most the
+    budget are kept, whatever their ids, and an entry larger than the
+    whole budget is served but not retained.
 
     {!get_or_fetch} is single-flight: when concurrent callers miss on
     the same key, exactly one runs the upstream fetch while the others
@@ -18,7 +17,7 @@ type stats = {
   misses : int;          (** lookups that found nothing (coalesced waiters included) *)
   evictions : int;       (** entries dropped to respect the byte budget *)
   insertions : int;      (** entries accepted into the LRU *)
-  rejections : int;      (** payloads larger than their shard's budget, not retained *)
+  rejections : int;      (** payloads larger than the budget, not retained *)
   single_flights : int;  (** upstream fetches actually run by {!get_or_fetch} *)
   coalesced : int;       (** callers that waited on another caller's fetch *)
   current_bytes : int;
@@ -27,22 +26,20 @@ type stats = {
 
 type t
 
-val create :
-  ?shards:int -> ?owner:[ `Client | `Server ] -> budget_bytes:int -> unit -> t
-(** [shards] defaults to 8, clamped to [\[1, 256\]].  [owner] (default
-    [`Client]) labels the process-wide [kondo_store_cache_*] series this
-    cache's counters are linked to: [owner="server"] for the cache of a
-    {!Server}, [owner="client"] for every other.
+val create : ?owner:[ `Client | `Server ] -> budget_bytes:int -> unit -> t
+(** [owner] (default [`Client]) labels the process-wide
+    [kondo_store_cache_*] series this cache's counters are linked to:
+    [owner="server"] for the cache of a {!Server}, [owner="client"] for
+    every other.
     @raise Invalid_argument when [budget_bytes < 0]. *)
 
 val budget : t -> int
-val shard_count : t -> int
 
 val get : t -> Chunk.id -> bytes option
 val read_into : t -> Chunk.id -> src_off:int -> bytes -> dst_off:int -> len:int -> bool
 (** [read_into t id ~src_off dst ~dst_off ~len] is {!get} that copies only
     [len] bytes of the cached chunk, from [src_off], into [dst] at
-    [dst_off], under the shard lock.  Returns whether it hit; hit and miss
+    [dst_off], under the lock.  Returns whether it hit; hit and miss
     accounting is that of {!get}.
     @raise Invalid_argument when the slice is outside the chunk or [dst]
     (after counting the hit). *)

@@ -245,13 +245,63 @@ let test_block_store_compact () =
   Block_store.close bs2;
   Sys.remove path
 
+(* Four domains, started together, put overlapping id sets into one
+   backed store, each its set three times over: every id is new exactly
+   once across them, the index counts each chunk once, and the file
+   holds exactly one frame per chunk. *)
+let test_block_store_concurrent_puts () =
+  let path = Filename.temp_file "kondo_bs" ".dat" in
+  let bs = Block_store.create ~path () in
+  let span = 1536 in
+  let n = 2 * span in
+  let chunks =
+    Array.init n (fun i -> Bytes.of_string (Printf.sprintf "chunk %d%s" i (String.make (i mod 32) '.')))
+  in
+  let ids = Array.map Chunk.digest chunks in
+  let ready = Atomic.make 0 in
+  (* domain d puts ids [d * span/3, d * span/3 + span): the middle third
+     of the range is put by three domains *)
+  let worker d () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do Domain.cpu_relax () done;
+    List.concat
+      (List.init 3 (fun _ ->
+           List.init span (fun k ->
+               let i = (d * span / 3) + k in
+               (i, Block_store.put bs ids.(i) chunks.(i)))))
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  let fresh = Array.make n 0 in
+  List.iter
+    (fun d -> List.iter (fun (i, is_new) -> if is_new then fresh.(i) <- fresh.(i) + 1) (Domain.join d))
+    domains;
+  Alcotest.(check (array int)) "each id new exactly once" (Array.make n 1) fresh;
+  let total = Array.fold_left (fun acc c -> acc + Bytes.length c) 0 chunks in
+  let sorted_ids = List.sort Int64.compare (Array.to_list ids) in
+  Alcotest.(check int) "count" n (Block_store.count bs);
+  Alcotest.(check int) "stored bytes" total (Block_store.stored_bytes bs);
+  Alcotest.(check bool) "hashes" true (Block_store.hashes bs = sorted_ids);
+  Block_store.close bs;
+  let bs2 = Block_store.create ~path () in
+  Alcotest.(check (pair int bool)) "reopen salvages every chunk once" (n, true)
+    (Block_store.load_report bs2);
+  Alcotest.(check int) "reopened count" n (Block_store.count bs2);
+  Alcotest.(check int) "reopened bytes" total (Block_store.stored_bytes bs2);
+  Alcotest.(check bool) "reopened hashes" true (Block_store.hashes bs2 = sorted_ids);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool) "content survives" true (Block_store.get bs2 ids.(i) = Some c))
+    chunks;
+  Block_store.close bs2;
+  Sys.remove path
+
 (* ---- Cache ---- *)
 
 let qcheck_cache_budget =
   QCheck.Test.make ~name:"cache never exceeds its byte budget" ~count:100
-    QCheck.(triple (int_range 0 2000) (int_range 1 16) (list_of_size Gen.(0 -- 60) (int_range 0 200)))
-    (fun (budget, shards, sizes) ->
-      let cache = Cache.create ~shards ~budget_bytes:budget () in
+    QCheck.(pair (int_range 0 2000) (list_of_size Gen.(0 -- 60) (int_range 0 200)))
+    (fun (budget, sizes) ->
+      let cache = Cache.create ~budget_bytes:budget () in
       List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (bytes_of_seed i len)) sizes;
       let s = Cache.stats cache in
       s.Cache.current_bytes <= budget && Cache.budget cache = budget)
@@ -260,7 +310,7 @@ let qcheck_cache_bookkeeping =
   QCheck.Test.make ~name:"hit/miss/eviction bookkeeping balances" ~count:100
     QCheck.(pair (int_range 0 1000) (list_of_size Gen.(0 -- 60) (int_range 0 120)))
     (fun (budget, sizes) ->
-      let cache = Cache.create ~shards:4 ~budget_bytes:budget () in
+      let cache = Cache.create ~budget_bytes:budget () in
       (* unique keys: every put is either an insertion or a rejection *)
       List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (bytes_of_seed i len)) sizes;
       List.iteri (fun i _ -> ignore (Cache.get cache (Int64.of_int i))) sizes;
@@ -271,8 +321,63 @@ let qcheck_cache_bookkeeping =
       && s.Cache.hits = s.Cache.entries (* live entries hit, evicted/rejected ones miss *)
       && s.Cache.current_bytes <= budget)
 
+(* Capacity is the whole budget, whatever the ids: a 16 KiB cache keeps
+   four 4 KiB chunks, including ids that differ only in their low bits
+   or only in their high bits. *)
+let test_cache_capacity_ignores_ids () =
+  let size = Chunk.default_size in
+  let cache = Cache.create ~budget_bytes:(4 * size) () in
+  let ids = [ 0L; 8L; 16L; 0x7fff_ffff_ffff_fff8L ] in
+  List.iteri (fun i id -> Cache.put cache id (bytes_of_seed i size)) ids;
+  let s = Cache.stats cache in
+  Alcotest.(check (list int)) "insertions, rejections, evictions, entries, bytes"
+    [ 4; 0; 0; 4; 4 * size ]
+    [ s.Cache.insertions; s.Cache.rejections; s.Cache.evictions; s.Cache.entries;
+      s.Cache.current_bytes ];
+  List.iteri
+    (fun i id ->
+      Alcotest.(check bool) "every chunk kept" true
+        (Cache.get cache id = Some (bytes_of_seed i size)))
+    ids;
+  (* a fifth chunk evicts the least recently used: the first id, whose
+     get above came first *)
+  Cache.put cache 24L (bytes_of_seed 4 size);
+  Alcotest.(check bool) "LRU entry evicted" true (Cache.get cache 0L = None);
+  Alcotest.(check int) "the rest kept" 4
+    (List.length (List.filter (fun id -> Cache.get cache id <> None) (List.tl ids @ [ 24L ])))
+
+(* A budget of k equal chunks keeps exactly the k most recently used,
+   for arbitrary ids and any sequence of puts and gets: a model MRU list
+   predicts every hit and the final contents. *)
+let qcheck_cache_keeps_k_most_recent =
+  QCheck.Test.make ~name:"a k-chunk budget keeps the k most recently used" ~count:100
+    QCheck.(
+      triple (int_range 1 8)
+        (array_of_size (Gen.return 12) int64)
+        (list_of_size Gen.(0 -- 80) (pair bool (int_range 0 11))))
+    (fun (k, pool, ops) ->
+      let size = 4096 in
+      let data id = bytes_of_seed (Int64.to_int id land 0xFFFF) size in
+      let cache = Cache.create ~budget_bytes:(k * size) () in
+      let touch id mru = List.filteri (fun i _ -> i < k) (id :: List.filter (( <> ) id) mru) in
+      let step (mru, ok) (is_put, slot) =
+        let id = pool.(slot) in
+        if is_put then begin
+          Cache.put cache id (data id);
+          (touch id mru, ok)
+        end
+        else
+          let hit = List.mem id mru in
+          let expect = if hit then Some (data id) else None in
+          ((if hit then touch id mru else mru), ok && Cache.get cache id = expect)
+      in
+      let mru, ok = List.fold_left step ([], true) ops in
+      ok
+      && (Cache.stats cache).Cache.entries = List.length mru
+      && List.for_all (fun id -> Cache.get cache id = Some (data id)) mru)
+
 let test_cache_coalesces_concurrent_gets () =
-  let cache = Cache.create ~shards:2 ~budget_bytes:(1024 * 1024) () in
+  let cache = Cache.create ~budget_bytes:(1024 * 1024) () in
   let payload = bytes_of_seed 7 100 in
   let id = Chunk.digest payload in
   let upstream_calls = Atomic.make 0 in
@@ -349,8 +454,8 @@ let loopback_pair ?(jobs = 1) ?(cache_bytes = 1024 * 1024) () =
   (server, Transport.loopback ~handle:(Server.handle server))
 
 let test_cache_read_into_copies_slice () =
-  let cache = Cache.create ~shards:2 ~budget_bytes:4096 () in
-  let twin = Cache.create ~shards:2 ~budget_bytes:4096 () in
+  let cache = Cache.create ~budget_bytes:4096 () in
+  let twin = Cache.create ~budget_bytes:4096 () in
   let chunk = bytes_of_seed 3 256 in
   Cache.put cache 1L chunk;
   Cache.put twin 1L chunk;
@@ -416,7 +521,7 @@ let test_client_slice_reads_match_chunk_copies () =
     let server, conn = loopback_pair () in
     let m = Server.add_blob server ~chunk_size:64 ~name:"blob" blob in
     (* room for 8 of the 63 chunks, so the sequence evicts *)
-    let cache = Cache.create ~shards:2 ~budget_bytes:512 () in
+    let cache = Cache.create ~budget_bytes:512 () in
     (m, cache, Client.connect ~cache conn)
   in
   let m, cache, client = setup () in
@@ -1188,8 +1293,11 @@ let suite =
       Alcotest.test_case "block store salvages every truncation" `Quick
         test_block_store_salvage_every_truncation;
       Alcotest.test_case "block store compaction" `Quick test_block_store_compact;
+      Alcotest.test_case "block store concurrent puts" `Quick test_block_store_concurrent_puts;
       QCheck_alcotest.to_alcotest qcheck_cache_budget;
       QCheck_alcotest.to_alcotest qcheck_cache_bookkeeping;
+      Alcotest.test_case "cache capacity ignores ids" `Quick test_cache_capacity_ignores_ids;
+      QCheck_alcotest.to_alcotest qcheck_cache_keeps_k_most_recent;
       Alcotest.test_case "cache coalesces concurrent gets" `Quick
         test_cache_coalesces_concurrent_gets;
       Alcotest.test_case "cache never caches errors" `Quick test_cache_never_caches_errors;
