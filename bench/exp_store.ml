@@ -11,8 +11,15 @@
    warms the server cache and the second shows its hits.  Every read
    must come back correct (checked against the analytic fill); the sweep
    shows the cache hit rate and fetch traffic as the budget grows from
-   nothing to comfortably-whole-file.  Results land in
-   artifacts/BENCH_store.json. *)
+   nothing to comfortably-whole-file.
+
+   A second section, [chunk_path], prices one request on the chunk
+   path: a BATCH of 8 chunks (server cache warm, and cold), a GET and a
+   PUT of one 4 KiB chunk, each as microseconds and bytes allocated per
+   operation, over the loopback transport and over a Unix socket served
+   by [Server.serve_unix] in a second domain.  Bytes are counted in the
+   calling domain: client and server over loopback, the client alone
+   over the socket.  Results land in artifacts/BENCH_store.json. *)
 
 open Kondo_dataarray
 open Kondo_workload
@@ -109,6 +116,115 @@ let sweep_rows p image ~src ~cache_bytes =
   ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
   List.map (fun pass -> run_pass p image server ~cache_bytes ~pass) [ 1; 2 ]
 
+type op_cost = {
+  transport : string;
+  op : string;
+  ops : int;
+  us_per_op : float;
+  bytes_per_op : float;
+}
+
+(* Time operations [0 .. n-1] one by one ([before] runs untimed ahead
+   of each), then count the bytes that operations [n .. n+counted-1] allocate,
+   each started on an empty minor heap so no collection inside the
+   count subtracts promotions. *)
+let counted = 50
+
+let cost ~transport ~op ?(before = ignore) n f =
+  let busy = ref 0.0 in
+  for i = 0 to n - 1 do
+    before i;
+    let t0 = now () in
+    ignore (Sys.opaque_identity (f i));
+    busy := !busy +. (now () -. t0)
+  done;
+  let bytes = ref 0.0 in
+  for i = n to n + counted - 1 do
+    before i;
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f i));
+    bytes := !bytes +. (Gc.allocated_bytes () -. b0)
+  done;
+  { transport;
+    op;
+    ops = n;
+    us_per_op = !busy /. float_of_int n *. 1e6;
+    bytes_per_op = !bytes /. float_of_int counted }
+
+let chunk_path_ops server m ~transport conn =
+  let client = Client.connect conn in
+  let ok = function Ok v -> v | Error e -> failwith (Kondo_faults.Fault.to_string e) in
+  let size = Chunk.default_size in
+  let n = 1000 in
+  let chunks = Chunk.chunk_count m in
+  let batch i = ignore (ok (Client.fetch_chunks client m ~first:(8 * i mod (chunks - 8)) ~count:8)) in
+  let get i =
+    conn.Transport.send (Proto.encode_request (Proto.Get m.Chunk.ids.(i mod chunks)));
+    match Result.bind (conn.Transport.recv ()) Proto.decode_response with
+    | Ok (Proto.Blob _) -> ()
+    | _ -> failwith "exp_store: chunk_path GET failed"
+  in
+  (* distinct payloads: every PUT stores a new chunk *)
+  let payloads =
+    Array.init (n + counted) (fun i ->
+        let b = Bytes.init size (fun k -> Char.chr (((i * 7919) + k) land 0xFF)) in
+        Bytes.set_int32_le b 0 (Int32.of_int i);
+        b)
+  in
+  let put i = ignore (ok (Client.put client payloads.(i))) in
+  let cache = Server.cache server in
+  for i = 0 to chunks / 8 do
+    batch i
+  done;
+  let rows =
+    [ cost ~transport ~op:"batch8_warm" n batch;
+      cost ~transport ~op:"batch8_cold" ~before:(fun _ -> Cache.clear cache) n batch;
+      cost ~transport ~op:"get" n get;
+      cost ~transport ~op:"put" n put ]
+  in
+  Array.iter (fun p -> ignore (Block_store.remove (Server.store server) (Chunk.digest p))) payloads;
+  Client.close client;
+  rows
+
+(* Serve [server] on a Unix socket in a second domain for [f]; stop the
+   accept loop by flipping the flag and waking it with a connection. *)
+let with_unix_server server f =
+  let dir = Filename.temp_file "exp_store_sock" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket = Filename.concat dir "store.sock" in
+  let stop = Atomic.make false in
+  let ready = Atomic.make false in
+  let srv =
+    Domain.spawn (fun () ->
+        Server.serve_unix server ~socket
+          ~on_ready:(fun () -> Atomic.set ready true)
+          ~stop:(fun () -> Atomic.get stop)
+          ())
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.01
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      (* the loop may already have seen the flag and closed the socket *)
+      (try (Transport.unix_connect socket).Transport.close () with Unix.Unix_error _ -> ());
+      Domain.join srv;
+      Unix.rmdir dir)
+    (fun () -> f socket)
+
+let chunk_path () =
+  let server = Server.create ~store:(Block_store.create ()) () in
+  let m =
+    Server.add_blob server ~name:"chunk_path"
+      (Bytes.init (256 * Chunk.default_size) (fun i -> Char.chr (((i * 31) + (i / 4096)) land 0xFF)))
+  in
+  chunk_path_ops server m ~transport:"loopback" (Transport.loopback ~handle:(Server.handle server))
+  @ with_unix_server server (fun socket ->
+        chunk_path_ops server m ~transport:"unix" (Transport.unix_connect socket))
+
 let json_path () =
   let dir = "artifacts" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -125,6 +241,7 @@ let run () =
           phase "cache_budget_sweep" (fun () ->
               List.concat_map (fun b -> sweep_rows p image ~src ~cache_bytes:b) budgets) ))
   in
+  let costs = chunk_path () in
   Printf.printf "  %-12s %4s %8s %8s %8s %8s %9s %9s %9s %7s\n" "cache" "pass" "served"
     "fetches" "blocks" "chunks" "hits" "evicts" "hit-rate" "wall";
   List.iter
@@ -133,6 +250,13 @@ let run () =
         r.served r.store_fetches r.fetched_blocks r.fetched_chunks r.cache_hits r.cache_evictions
         (100.0 *. r.hit_rate) r.wall_s)
     rows;
+  Printf.printf "\n  chunk path, per operation:\n  %-9s %-12s %6s %9s %10s\n" "transport" "op" "ops"
+    "us/op" "bytes/op";
+  List.iter
+    (fun c ->
+      Printf.printf "  %-9s %-12s %6d %9.1f %10.0f\n" c.transport c.op c.ops c.us_per_op
+        c.bytes_per_op)
+    costs;
   (* the store contract: every ground-truth read is served correctly at
      every cache budget, and a whole-file budget re-fetches nothing *)
   List.iter
@@ -175,6 +299,26 @@ let run () =
                      ("cache_hit_rate", Float r.hit_rate);
                      ("wall_s", Float r.wall_s) ])
                rows) );
+        ( "chunk_path",
+          Obj
+            [ ( "note",
+                String
+                  "one request on the chunk path over a 1 MiB blob of 4 KiB chunks and a \
+                   1 MiB server cache: a BATCH of 8 chunks with the server cache warm and \
+                   cold (cleared, untimed, before each), a GET and a PUT of one chunk; \
+                   bytes are those allocated in the calling domain (client and server \
+                   over loopback, the client alone over the Unix socket)" );
+              ( "rows",
+                List
+                  (List.map
+                     (fun c ->
+                       Obj
+                         [ ("transport", String c.transport);
+                           ("op", String c.op);
+                           ("ops", Int c.ops);
+                           ("us_per_op", Float c.us_per_op);
+                           ("bytes_per_op", Float c.bytes_per_op) ])
+                     costs) ) ] );
         ("phase_timings", phase_timings) ]
   in
   let path = json_path () in

@@ -7,6 +7,7 @@ let fnv_prime = 0x100000001B3L
 let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
 
 let hash_region buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg "Merkle.hash_region";
   let h = ref fnv_offset in
   for i = off to off + len - 1 do
     h := fnv_byte !h (Char.code (Bytes.unsafe_get buf i))

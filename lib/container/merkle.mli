@@ -13,6 +13,11 @@ val hash_bytes : bytes -> int64
     assigns to a chunk's content, exposed so other layers (the block
     store) can content-address fixed-size chunks identically. *)
 
+val hash_region : bytes -> int -> int -> int64
+(** [hash_region buf off len] is {!hash_bytes} of [Bytes.sub buf off len],
+    computed in place.
+    @raise Invalid_argument when the region is outside [buf]. *)
+
 val hash_pair : int64 -> int64 -> int64
 (** The interior-node combiner of {!build}'s Merkle tree, exposed so a
     chunk manifest can carry a root digest over its chunk ids. *)

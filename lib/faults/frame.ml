@@ -1,17 +1,48 @@
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Slicing-by-8: table [k] advances the CRC of a byte followed by [k]
+   zero bytes, so eight table lookups fold in one 8-byte word.  Table 0
+   is the classic byte-at-a-time table. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+let tab k x = Array.unsafe_get crc_tables ((k lsl 8) lor (x land 0xFF))
+
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* The little-endian u32 at [i]; the caller checks the bounds. *)
+let word buf i =
+  let w = get32u buf i in
+  Int32.to_int (if Sys.big_endian then swap32 w else w) land 0xFFFFFFFF
 
 let crc32_sub buf pos len =
-  let table = Lazy.force crc_table in
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Frame.crc32_sub";
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    let a = !c lxor word buf !i and b = word buf (!i + 4) in
+    c :=
+      tab 7 a lxor tab 6 (a lsr 8) lxor tab 5 (a lsr 16) lxor tab 4 (a lsr 24)
+      lxor tab 3 b lxor tab 2 (b lsr 8) lxor tab 1 (b lsr 16) lxor tab 0 (b lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := tab 0 (!c lxor Char.code (Bytes.unsafe_get buf !i)) lxor (!c lsr 8);
+    incr i
   done;
   !c lxor 0xFFFFFFFF
 

@@ -2,7 +2,7 @@ open Kondo_faults
 
 type t = {
   lock : Mutex.t; (* guards [tbl] and [bytes] *)
-  tbl : (Chunk.id, bytes) Hashtbl.t;
+  tbl : (Chunk.id, string) Hashtbl.t;
   mutable bytes : int;
   path : string option;
   io : Mutex.t; (* serializes appends and compaction *)
@@ -13,16 +13,15 @@ type t = {
 }
 
 let frame_payload id chunk =
-  let b = Bytes.create (8 + Bytes.length chunk) in
+  let b = Bytes.create (8 + String.length chunk) in
   Bytes.set_int64_le b 0 id;
-  Bytes.blit chunk 0 b 8 (Bytes.length chunk);
+  Bytes.blit_string chunk 0 b 8 (String.length chunk);
   Bytes.unsafe_to_string b
 
 let parse_frame payload =
   if String.length payload < 8 then None
   else
-    let b = Bytes.unsafe_of_string payload in
-    Some (Bytes.get_int64_le b 0, Bytes.sub b 8 (Bytes.length b - 8))
+    Some (String.get_int64_le payload 0, String.sub payload 8 (String.length payload - 8))
 
 (* Walk the backing file: valid frames plus the offset where validity
    ends (= where appending resumes after truncating the torn tail). *)
@@ -67,7 +66,7 @@ let create ?path () =
             | Some (id, chunk) ->
               if not (Hashtbl.mem t.tbl id) then begin
                 Hashtbl.add t.tbl id chunk;
-                t.bytes <- t.bytes + Bytes.length chunk;
+                t.bytes <- t.bytes + String.length chunk;
                 t.salvaged <- t.salvaged + 1
               end)
           frames;
@@ -87,8 +86,8 @@ let put t id chunk =
     locked t.lock (fun () ->
         if Hashtbl.mem t.tbl id then false
         else begin
-          Hashtbl.add t.tbl id (Bytes.copy chunk);
-          t.bytes <- t.bytes + Bytes.length chunk;
+          Hashtbl.add t.tbl id chunk;
+          t.bytes <- t.bytes + String.length chunk;
           true
         end)
   in
@@ -99,7 +98,7 @@ let put t id chunk =
         | None -> ());
   fresh
 
-let get t id = locked t.lock (fun () -> Option.map Bytes.copy (Hashtbl.find_opt t.tbl id))
+let get t id = locked t.lock (fun () -> Hashtbl.find_opt t.tbl id)
 
 let mem t id = locked t.lock (fun () -> Hashtbl.mem t.tbl id)
 
@@ -109,7 +108,7 @@ let remove t id =
       | None -> 0
       | Some b ->
         Hashtbl.remove t.tbl id;
-        let n = Bytes.length b in
+        let n = String.length b in
         t.bytes <- t.bytes - n;
         n)
 

@@ -6,7 +6,13 @@
     [u64 id][payload] per frame — so a crash at any byte leaves a valid
     prefix: {!create} salvages every complete frame, truncates the torn
     tail, and resumes appending.
-    Every {!put} of a new chunk is flushed before returning. *)
+    Every {!put} of a new chunk is flushed before returning.
+
+    Chunks are immutable [string]s, shared rather than copied: {!put}
+    keeps the caller's string itself and {!get} returns that same
+    string, so a chunk is never copied inside the store.  A caller that
+    holds [bytes] makes the one copy when it converts them to a string
+    for {!put}. *)
 
 type t
 
@@ -14,11 +20,15 @@ val create : ?path:string -> unit -> t
 (** With [path], chunks persist to that backing file; an existing file is
     loaded, salvaging the longest valid frame prefix. *)
 
-val put : t -> Chunk.id -> bytes -> bool
-(** Store a chunk under its id; [true] when it was new ([false] when the
-    id deduplicated — content-addressing makes overwrites meaningless). *)
+val put : t -> Chunk.id -> string -> bool
+(** Store a chunk under its id, keeping the string itself; [true] when
+    it was new ([false] when the id deduplicated — content-addressing
+    makes overwrites meaningless).  The id is not checked against the
+    content: callers digest what they store. *)
 
-val get : t -> Chunk.id -> bytes option
+val get : t -> Chunk.id -> string option
+(** The stored string itself, shared with every other reader. *)
+
 val mem : t -> Chunk.id -> bool
 
 val remove : t -> Chunk.id -> int

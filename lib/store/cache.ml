@@ -16,13 +16,13 @@ type stats = {
 (* Intrusive doubly-linked LRU node; [prev] points toward the MRU end. *)
 type node = {
   key : Chunk.id;
-  data : bytes;
+  data : string;
   mutable prev : node option;
   mutable next : node option;
 }
 
 type flight = {
-  mutable outcome : (bytes, Fault.error) result option;
+  mutable outcome : (string, Fault.error) result option;
 }
 
 (* The cache's counters, one per counted [stats] field, linked to the
@@ -93,7 +93,7 @@ let push_front t n =
 let drop_entry t n =
   unlink t n;
   Hashtbl.remove t.tbl n.key;
-  t.bytes <- t.bytes - Bytes.length n.data
+  t.bytes <- t.bytes - String.length n.data
 
 let evict_to_budget t =
   while t.bytes > t.budget do
@@ -104,22 +104,19 @@ let evict_to_budget t =
     | None -> t.bytes <- 0 (* unreachable: bytes > 0 implies a tail *)
   done
 
-(* [data] stays the caller's: it is copied only once admitted, so a
-   rejected entry costs no copy. *)
 let insert t id data =
   (match Hashtbl.find_opt t.tbl id with Some old -> drop_entry t old | None -> ());
-  if Bytes.length data > t.budget then Registry.inc t.n.rejections
+  if String.length data > t.budget then Registry.inc t.n.rejections
   else begin
-    let n = { key = id; data = Bytes.copy data; prev = None; next = None } in
+    let n = { key = id; data; prev = None; next = None } in
     push_front t n;
     Hashtbl.add t.tbl id n;
-    t.bytes <- t.bytes + Bytes.length data;
+    t.bytes <- t.bytes + String.length data;
     Registry.inc t.n.insertions;
     evict_to_budget t
   end
 
-(* The LRU touch and hit/miss accounting of one lookup.  The cached
-   bytes are shared: callers copy what they hand out, under the lock. *)
+(* The LRU touch and hit/miss accounting of one lookup. *)
 let lookup t id =
   match Hashtbl.find_opt t.tbl id with
   | Some n ->
@@ -135,13 +132,13 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let get t id = locked t (fun () -> Option.map Bytes.copy (lookup t id))
+let get t id = locked t (fun () -> lookup t id)
 
 let read_into t id ~src_off dst ~dst_off ~len =
   locked t (fun () ->
       match lookup t id with
       | Some data ->
-        Bytes.blit data src_off dst dst_off len;
+        Bytes.blit_string data src_off dst dst_off len;
         true
       | None -> false)
 
@@ -151,7 +148,6 @@ let get_or_fetch t id ~fetch =
   Mutex.lock t.lock;
   match lookup t id with
   | Some data ->
-    let data = Bytes.copy data in
     Mutex.unlock t.lock;
     Ok data
   | None -> (
@@ -168,7 +164,7 @@ let get_or_fetch t id ~fetch =
       in
       let r = wait () in
       Mutex.unlock t.lock;
-      (match r with Ok b -> Ok (Bytes.copy b) | Error _ as e -> e)
+      r
     | None ->
       (* leader: run the upstream fetch outside the lock *)
       let fl = { outcome = None } in

@@ -10,7 +10,13 @@
     block on a condition variable and receive the same outcome — one
     upstream fetch, identical bytes, the thundering herd collapsed.
     Fetch errors are handed to every coalesced waiter but never
-    cached. *)
+    cached.
+
+    Entries are immutable [string]s, shared rather than copied: {!put}
+    and a leader's fetch insert the string itself, and {!get} and
+    {!get_or_fetch} hand that same string to every hit and every
+    coalesced waiter.  The only copy the cache makes is {!read_into}'s
+    slice, into the caller's buffer. *)
 
 type stats = {
   hits : int;
@@ -35,7 +41,7 @@ val create : ?owner:[ `Client | `Server ] -> budget_bytes:int -> unit -> t
 
 val budget : t -> int
 
-val get : t -> Chunk.id -> bytes option
+val get : t -> Chunk.id -> string option
 val read_into : t -> Chunk.id -> src_off:int -> bytes -> dst_off:int -> len:int -> bool
 (** [read_into t id ~src_off dst ~dst_off ~len] is {!get} that copies only
     [len] bytes of the cached chunk, from [src_off], into [dst] at
@@ -44,11 +50,11 @@ val read_into : t -> Chunk.id -> src_off:int -> bytes -> dst_off:int -> len:int 
     @raise Invalid_argument when the slice is outside the chunk or [dst]
     (after counting the hit). *)
 
-val put : t -> Chunk.id -> bytes -> unit
+val put : t -> Chunk.id -> string -> unit
 
 val get_or_fetch :
-  t -> Chunk.id -> fetch:(unit -> (bytes, Kondo_faults.Fault.error) result) ->
-  (bytes, Kondo_faults.Fault.error) result
+  t -> Chunk.id -> fetch:(unit -> (string, Kondo_faults.Fault.error) result) ->
+  (string, Kondo_faults.Fault.error) result
 (** Cache hit, or run (or wait on) the single upstream fetch for this
     key.  A successful fetch is inserted before waiters wake. *)
 

@@ -29,10 +29,14 @@ let empty_root = Merkle.hash_bytes Bytes.empty
 let root_of_ids ids = Array.fold_left Merkle.hash_pair empty_root ids
 
 let manifest_of_bytes ?(chunk_size = default_size) ~name buf =
+  if chunk_size < 1 then invalid_arg "Chunk.manifest_of_bytes: chunk_size < 1";
+  let n = Bytes.length buf in
   let ids =
-    Array.of_list (List.map (fun (_, payload) -> digest payload) (split ~chunk_size buf))
+    Array.init ((n + chunk_size - 1) / chunk_size) (fun i ->
+        let off = i * chunk_size in
+        Merkle.hash_region buf off (min chunk_size (n - off)))
   in
-  { name; chunk_size; total_len = Bytes.length buf; ids; root = root_of_ids ids }
+  { name; chunk_size; total_len = n; ids; root = root_of_ids ids }
 
 let chunk_count m = Array.length m.ids
 

@@ -33,6 +33,8 @@ val split : ?chunk_size:int -> bytes -> (int * bytes) list
     [chunk_size < 1]. *)
 
 val manifest_of_bytes : ?chunk_size:int -> name:string -> bytes -> manifest
+(** The blob's manifest, each tile digested in place (nothing copied).
+    @raise Invalid_argument when [chunk_size < 1]. *)
 
 val root_of_ids : id array -> id
 (** The manifest root: [ids] folded left with [Merkle.hash_pair]

@@ -200,11 +200,10 @@ let put t payload =
    client-side CRC story of the store path: count it corrupt and hand
    the retry machinery a retryable error — never a silent success. *)
 let verified t m i payload =
-  let b = Bytes.of_string payload in
-  if Chunk.verify m i b then begin
+  if Chunk.verify m i (Bytes.unsafe_of_string payload) then begin
     Registry.inc t.n.fetched_chunks;
-    Registry.inc ~by:(Bytes.length b) t.n.fetched_bytes;
-    Ok b
+    Registry.inc ~by:(String.length payload) t.n.fetched_bytes;
+    Ok payload
   end
   else begin
     Registry.inc t.n.corrupt_fetches;
@@ -293,7 +292,7 @@ let read_bytes t m ~offset ~length =
           Array.iteri
             (fun k b ->
               let src_off, dst_off, len = slice (i + k) in
-              Bytes.blit b src_off out dst_off len;
+              Bytes.blit_string b src_off out dst_off len;
               match t.cache with
               | Some cache -> Cache.put cache m.Chunk.ids.(c0 + i + k) b
               | None -> ())

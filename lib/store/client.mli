@@ -8,7 +8,12 @@
     is verified against the manifest id it was requested under — a
     mismatch counts as a corrupt fetch and is {e retried}, never
     surfaced as a success.  Adjacent missing chunks are batched into one
-    BATCH range GET per contiguous run. *)
+    BATCH range GET per contiguous run.
+
+    Each fetched chunk is copied once, out of the response message, into
+    an immutable string: it is verified in place, and that same string
+    is what {!fetch_chunks} returns and what the client cache keeps.
+    {!read_bytes} returns a fresh buffer the caller owns. *)
 
 type stats = {
   requests : int;           (** protocol rounds attempted *)
@@ -59,14 +64,17 @@ val scrape : t -> (string, Kondo_faults.Fault.error) result
 
 val put : t -> bytes -> (Chunk.id * bool, Kondo_faults.Fault.error) result
 (** Content-address a payload and PUT it; returns its id and whether it
-    was new to the server. *)
+    was new to the server.  The payload is read, not kept: the request
+    message is its copy, so the caller may reuse it afterwards. *)
 
 val fetch_chunks :
   t -> Chunk.manifest -> first:int -> count:int ->
-  (bytes array, Kondo_faults.Fault.error) result
+  (string array, Kondo_faults.Fault.error) result
 (** Chunks [first .. first+count-1] in one BATCH round trip, each
     verified against the manifest.  Any missing chunk is a permanent
-    error; any corrupt chunk is a retryable one. *)
+    error; any corrupt chunk is a retryable one.  The strings are the
+    ones decoded from the response, shared with the client cache when
+    there is one. *)
 
 val read_bytes :
   t -> Chunk.manifest -> offset:int -> length:int ->

@@ -33,19 +33,47 @@ let max_message = 64 * 1024 * 1024
 
 (* ---- body encoding ---- *)
 
-let add_u32 b v =
-  let s = Bytes.create 4 in
-  Bytes.set_int32_le s 0 (Int32.of_int v);
-  Buffer.add_bytes b s
+(* An encoder computes its message's exact length, then fills one
+   buffer of that length: each payload is copied once, into the
+   message. *)
+type writer = { out : bytes; mutable at : int }
 
-let add_u64 b v =
-  let s = Bytes.create 8 in
-  Bytes.set_int64_le s 0 v;
-  Buffer.add_bytes b s
+let w_char w c =
+  Bytes.set w.out w.at c;
+  w.at <- w.at + 1
 
-let add_str b s =
-  add_u32 b (String.length s);
-  Buffer.add_string b s
+(* A message of [len] bytes, its tag written. *)
+let message len tag =
+  let w = { out = Bytes.create len; at = 0 } in
+  w_char w tag;
+  w
+
+let contents w =
+  assert (w.at = Bytes.length w.out);
+  Bytes.unsafe_to_string w.out
+
+let w_u32 w v =
+  Bytes.set_int32_le w.out w.at (Int32.of_int v);
+  w.at <- w.at + 4
+
+let w_u64 w v =
+  Bytes.set_int64_le w.out w.at v;
+  w.at <- w.at + 8
+
+let w_str w s =
+  let n = String.length s in
+  w_u32 w n;
+  Bytes.blit_string s 0 w.out w.at n;
+  w.at <- w.at + n
+
+(* Encoded length of a [w_str] field. *)
+let str_len s = 4 + String.length s
+
+(* A message that is a tag and one string field. *)
+let tagged tag s =
+  let w = message (1 + str_len s) tag in
+  w_str w s;
+  contents w
 
 exception Bad of string
 
@@ -86,25 +114,25 @@ let decoding s f =
   match finish c (f c) with v -> Ok v | exception Bad msg -> Error msg
 
 let encode_request req =
-  let b = Buffer.create 32 in
-  (match req with
+  match req with
   | Get id ->
-    Buffer.add_char b 'G';
-    add_u64 b id
+    let w = message 9 'G' in
+    w_u64 w id;
+    contents w
   | Put (id, payload) ->
-    Buffer.add_char b 'P';
-    add_u64 b id;
-    add_str b payload
-  | Stat -> Buffer.add_char b 'S'
+    let w = message (9 + str_len payload) 'P' in
+    w_u64 w id;
+    w_str w payload;
+    contents w
+  | Stat -> "S"
   | Batch ids ->
-    Buffer.add_char b 'B';
-    add_u32 b (List.length ids);
-    List.iter (add_u64 b) ids
-  | Manifest_req name ->
-    Buffer.add_char b 'M';
-    add_str b name
-  | Scrape -> Buffer.add_char b 'T');
-  Buffer.contents b
+    let n = List.length ids in
+    let w = message (5 + (8 * n)) 'B' in
+    w_u32 w n;
+    List.iter (w_u64 w) ids;
+    contents w
+  | Manifest_req name -> tagged 'M' name
+  | Scrape -> "T"
 
 let decode_request s =
   decoding s (fun c ->
@@ -122,45 +150,39 @@ let decode_request s =
       | 'T' -> Scrape
       | _ -> raise (Bad "unknown request tag"))
 
+let blob_entry_len (_, payload) =
+  9 + match payload with Some p -> str_len p | None -> 0
+
 let encode_response resp =
-  let b = Buffer.create 64 in
-  (match resp with
-  | Blob payload ->
-    Buffer.add_char b 'b';
-    add_str b payload
+  match resp with
+  | Blob payload -> tagged 'b' payload
   | Not_found id ->
-    Buffer.add_char b 'n';
-    add_u64 b id
-  | Stored fresh ->
-    Buffer.add_char b 'p';
-    Buffer.add_char b (if fresh then '\x01' else '\x00')
+    let w = message 9 'n' in
+    w_u64 w id;
+    contents w
+  | Stored fresh -> if fresh then "p\x01" else "p\x00"
   | Stats i ->
-    Buffer.add_char b 's';
-    List.iter (add_u32 b)
+    let w = message 33 's' in
+    List.iter (w_u32 w)
       [ i.chunks; i.store_bytes; i.manifests; i.cache_hits; i.cache_misses;
-        i.cache_evictions; i.cache_coalesced; i.cache_bytes ]
+        i.cache_evictions; i.cache_coalesced; i.cache_bytes ];
+    contents w
   | Blobs entries ->
-    Buffer.add_char b 'B';
-    add_u32 b (List.length entries);
+    let w = message (List.fold_left (fun acc e -> acc + blob_entry_len e) 5 entries) 'B' in
+    w_u32 w (List.length entries);
     List.iter
       (fun (id, payload) ->
-        add_u64 b id;
+        w_u64 w id;
         match payload with
         | Some p ->
-          Buffer.add_char b '\x01';
-          add_str b p
-        | None -> Buffer.add_char b '\x00')
-      entries
-  | Manifest_resp m ->
-    Buffer.add_char b 'm';
-    add_str b (Chunk.encode m)
-  | Metrics text ->
-    Buffer.add_char b 't';
-    add_str b text
-  | Err msg ->
-    Buffer.add_char b 'e';
-    add_str b msg);
-  Buffer.contents b
+          w_char w '\x01';
+          w_str w p
+        | None -> w_char w '\x00')
+      entries;
+    contents w
+  | Manifest_resp m -> tagged 'm' (Chunk.encode m)
+  | Metrics text -> tagged 't' text
+  | Err msg -> tagged 'e' msg
 
 let decode_response s =
   decoding s (fun c ->

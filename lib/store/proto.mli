@@ -8,7 +8,12 @@
     {!decode_request}/{!decode_response} reject anything malformed with
     an error string rather than an exception, so a server survives a
     garbage client and a client maps a mangled response to a retryable
-    fault. *)
+    fault.
+
+    Each encoder computes its message's exact length and fills one
+    buffer: a payload string is copied once, into the message, and the
+    encoder keeps no reference to it.  Each decoder copies a payload
+    once, out of the message, into a fresh string the caller owns. *)
 
 type stat_info = {
   chunks : int;           (** chunks in the block store *)

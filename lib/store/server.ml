@@ -40,11 +40,15 @@ let locked t f =
 
 let add_manifest t m = locked t (fun () -> Hashtbl.replace t.manifests m.Chunk.name m)
 
+(* Each chunk is digested once, in place, and copied once: into the
+   string the store keeps. *)
 let add_blob t ?chunk_size ~name content =
   let m = Chunk.manifest_of_bytes ?chunk_size ~name content in
-  List.iter
-    (fun (_, payload) -> ignore (Block_store.put t.store (Chunk.digest payload) payload))
-    (Chunk.split ?chunk_size content);
+  Array.iteri
+    (fun i id ->
+      let off, len = Chunk.chunk_span m i in
+      ignore (Block_store.put t.store id (Bytes.sub_string content off len)))
+    m.Chunk.ids;
   add_manifest t m;
   m
 
@@ -102,13 +106,14 @@ let apply t req =
   match req with
   | Proto.Get id -> (
     match lookup_chunk t id with
-    | Ok b -> Proto.Blob (Bytes.unsafe_to_string b)
+    | Ok b -> Proto.Blob b
     | Error _ -> Proto.Not_found id)
   | Proto.Put (id, payload) ->
-    let b = Bytes.of_string payload in
-    if not (Int64.equal (Chunk.digest b) id) then
+    (* the decoded payload is this request's own string: digest it in
+       place and store it as it is *)
+    if not (Int64.equal (Chunk.digest (Bytes.unsafe_of_string payload)) id) then
       Proto.Err "put: payload digest does not match id"
-    else Proto.Stored (Block_store.put t.store id b)
+    else Proto.Stored (Block_store.put t.store id payload)
   | Proto.Stat ->
     let cs = Cache.stats t.cache in
     Proto.Stats
@@ -127,7 +132,7 @@ let apply t req =
       (Lazy.force batch_size)
       (float_of_int (List.length ids));
     let lookup id =
-      (id, match lookup_chunk t id with Ok b -> Some (Bytes.unsafe_to_string b) | Error _ -> None)
+      (id, match lookup_chunk t id with Ok b -> Some b | Error _ -> None)
     in
     let entries =
       if t.jobs = 1 || List.length ids < 2 then List.map lookup ids

@@ -126,7 +126,11 @@ let serve_files server ~pending ~where body =
             | Some (src, ds, offset, length) when not (Block_store.mem store id) -> (
               match file src with
               | Some f -> (
-                try ignore (Block_store.put store id (read f ds ~offset ~length))
+                (* [read] returns a fresh buffer, which the store keeps *)
+                try
+                  ignore
+                    (Block_store.put store id
+                       (Bytes.unsafe_to_string (read f ds ~offset ~length)))
                 with Invalid_argument _ -> ())
               | None -> ())
             | _ -> ())

@@ -225,6 +225,26 @@ let test_crc32_known_answer () =
   Alcotest.(check int) "check value" 0xCBF43926 (Frame.crc32_string "123456789");
   Alcotest.(check int) "empty" 0 (Frame.crc32 Bytes.empty)
 
+(* The slicing-by-8 CRC equals the byte-at-a-time loop on every length
+   (every tail of 0-7 bytes after the 8-byte words) and at every offset
+   into a buffer: [crc32] on a copied slice, and [read_one]'s in-place
+   check of a frame placed at that offset. *)
+let qcheck_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 equals the bytewise oracle at any length and offset"
+    ~count:300
+    QCheck.(triple (int_range 0 (70 * 1024)) (int_range 0 15) small_int)
+    (fun (len, off, seed) ->
+      let buf =
+        Bytes.init (off + Frame.header_len + len) (fun i ->
+            Char.chr ((seed + (i * 131) + (i * i / 7)) land 0xFF))
+      in
+      let payload = off + Frame.header_len in
+      let crc = Wire_oracle.crc32_sub buf payload len in
+      Bytes.set_int32_le buf off (Int32.of_int len);
+      Bytes.set_int32_le buf (off + 4) (Int32.of_int crc);
+      Frame.crc32 (Bytes.sub buf payload len) = crc
+      && Frame.read_one buf off = Some (Bytes.sub_string buf payload len, payload + len))
+
 (* [Frame.input] with a 1 KiB cap over a file holding [raw], one
    result per call until the first [Error]. *)
 let input_all raw =
@@ -440,6 +460,7 @@ let suite =
       Alcotest.test_case "retry deadline budget" `Quick test_retry_deadline_cuts;
       Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
       Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
+      QCheck_alcotest.to_alcotest qcheck_crc32_matches_bytewise;
       Alcotest.test_case "frame input over a channel" `Quick test_frame_input;
       Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
       Alcotest.test_case "frame truncate every byte" `Quick test_frame_truncate_every_byte;

@@ -11,6 +11,8 @@ open Kondo_workload
 let bytes_of_seed seed len =
   Bytes.init len (fun i -> Char.chr ((seed * 131 + i * 31 + (i * i mod 97)) land 0xFF))
 
+let string_of_seed seed len = Bytes.to_string (bytes_of_seed seed len)
+
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
@@ -123,18 +125,72 @@ let test_proto_response_roundtrip () =
       | Error e -> Alcotest.fail ("decode failed: " ^ e))
     resps
 
+(* The exact-size encoders write every message byte for byte as the
+   [Buffer] encoders they replaced did, and decode back to it. *)
+let qcheck_wire_matches_oracle =
+  let open QCheck.Gen in
+  let id = ui64 in
+  let payload = string_size (0 -- 8192) in
+  let short = string_size (0 -- 64) in
+  let request =
+    oneof
+      [ map (fun id -> Proto.Get id) id;
+        map2 (fun id p -> Proto.Put (id, p)) id payload;
+        return Proto.Stat;
+        map (fun ids -> Proto.Batch ids) (list_size (0 -- 64) id);
+        map (fun name -> Proto.Manifest_req name) short;
+        return Proto.Scrape ]
+  in
+  let stats =
+    map
+      (function
+        | [ chunks; store_bytes; manifests; cache_hits; cache_misses; cache_evictions;
+            cache_coalesced; cache_bytes ] ->
+          Proto.Stats
+            { Proto.chunks; store_bytes; manifests; cache_hits; cache_misses;
+              cache_evictions; cache_coalesced; cache_bytes }
+        | _ -> assert false)
+      (list_repeat 8 nat)
+  in
+  let manifest =
+    map3
+      (fun len chunk_size name ->
+        Proto.Manifest_resp (Chunk.manifest_of_bytes ~chunk_size ~name (bytes_of_seed len len)))
+      (0 -- 2000) (1 -- 300) short
+  in
+  let response =
+    oneof
+      [ map (fun p -> Proto.Blob p) payload;
+        map (fun id -> Proto.Not_found id) id;
+        map (fun b -> Proto.Stored b) bool;
+        stats;
+        map (fun es -> Proto.Blobs es) (list_size (0 -- 8) (pair id (opt payload)));
+        manifest;
+        map (fun text -> Proto.Metrics text) (string_size (0 -- 512));
+        map (fun msg -> Proto.Err msg) short ]
+  in
+  QCheck.Test.make ~name:"every message encodes byte for byte as the Buffer oracle"
+    ~count:300
+    (QCheck.make (pair request response))
+    (fun (req, resp) ->
+      let req_wire = Proto.encode_request req and resp_wire = Proto.encode_response resp in
+      req_wire = Wire_oracle.encode_request req
+      && resp_wire = Wire_oracle.encode_response resp
+      && Proto.decode_request req_wire = Ok req
+      && Proto.decode_response resp_wire = Ok resp)
+
 (* ---- Block_store ---- *)
 
 let test_block_store_basics () =
   let bs = Block_store.create () in
   let c1 = bytes_of_seed 1 40 and c2 = bytes_of_seed 2 60 in
   let id1 = Chunk.digest c1 and id2 = Chunk.digest c2 in
-  Alcotest.(check bool) "first put is new" true (Block_store.put bs id1 c1);
-  Alcotest.(check bool) "second put dedups" false (Block_store.put bs id1 c1);
-  Alcotest.(check bool) "other chunk is new" true (Block_store.put bs id2 c2);
+  Alcotest.(check bool) "first put is new" true (Block_store.put bs id1 (Bytes.to_string c1));
+  Alcotest.(check bool) "second put dedups" false (Block_store.put bs id1 (Bytes.to_string c1));
+  Alcotest.(check bool) "other chunk is new" true (Block_store.put bs id2 (Bytes.to_string c2));
   Alcotest.(check int) "count" 2 (Block_store.count bs);
   Alcotest.(check int) "stored bytes" 100 (Block_store.stored_bytes bs);
-  Alcotest.(check bool) "get returns content" true (Block_store.get bs id1 = Some c1);
+  Alcotest.(check bool) "get returns content" true (Block_store.get bs id1 = Some (Bytes.to_string c1));
   Alcotest.(check bool) "hashes sorted" true
     (let hs = Block_store.hashes bs in
      hs = List.sort Int64.compare hs && List.length hs = 2);
@@ -146,7 +202,7 @@ let test_block_store_persistence () =
   let path = Filename.temp_file "kondo_bs" ".dat" in
   let bs = Block_store.create ~path () in
   let chunks = List.init 5 (fun i -> bytes_of_seed (i + 10) (20 + (7 * i))) in
-  List.iter (fun c -> ignore (Block_store.put bs (Chunk.digest c) c)) chunks;
+  List.iter (fun c -> ignore (Block_store.put bs (Chunk.digest c) (Bytes.to_string c))) chunks;
   Block_store.close bs;
   let bs2 = Block_store.create ~path () in
   let salvaged, intact = Block_store.load_report bs2 in
@@ -155,7 +211,7 @@ let test_block_store_persistence () =
   List.iter
     (fun c ->
       Alcotest.(check bool) "content survives restart" true
-        (Block_store.get bs2 (Chunk.digest c) = Some c))
+        (Block_store.get bs2 (Chunk.digest c) = Some (Bytes.to_string c)))
     chunks;
   Block_store.close bs2;
   Sys.remove path
@@ -167,7 +223,7 @@ let test_block_store_salvage_every_truncation () =
   let path = Filename.temp_file "kondo_bs" ".dat" in
   let bs = Block_store.create ~path () in
   let chunks = [ bytes_of_seed 1 5; bytes_of_seed 2 7; bytes_of_seed 3 9 ] in
-  List.iter (fun c -> ignore (Block_store.put bs (Chunk.digest c) c)) chunks;
+  List.iter (fun c -> ignore (Block_store.put bs (Chunk.digest c) (Bytes.to_string c))) chunks;
   Block_store.close bs;
   let ic = open_in_bin path in
   let full = Bytes.create (in_channel_length ic) in
@@ -208,11 +264,11 @@ let test_block_store_salvage_every_truncation () =
           Alcotest.(check bool)
             (Printf.sprintf "chunk %d verifies after cut %d" i cut)
             true
-            (Block_store.get bs (Chunk.digest c) = Some c))
+            (Block_store.get bs (Chunk.digest c) = Some (Bytes.to_string c)))
       chunks;
     (* the store must accept appends after truncating the torn tail *)
     let extra = bytes_of_seed (100 + cut) 11 in
-    ignore (Block_store.put bs (Chunk.digest extra) extra);
+    ignore (Block_store.put bs (Chunk.digest extra) (Bytes.to_string extra));
     Block_store.close bs;
     let bs2 = Block_store.create ~path:torn () in
     let salvaged2, intact2 = Block_store.load_report bs2 in
@@ -229,19 +285,19 @@ let test_block_store_compact () =
   let path = Filename.temp_file "kondo_bs" ".dat" in
   let bs = Block_store.create ~path () in
   let keep = bytes_of_seed 1 50 and drop = bytes_of_seed 2 70 in
-  ignore (Block_store.put bs (Chunk.digest keep) keep);
-  ignore (Block_store.put bs (Chunk.digest drop) drop);
+  ignore (Block_store.put bs (Chunk.digest keep) (Bytes.to_string keep));
+  ignore (Block_store.put bs (Chunk.digest drop) (Bytes.to_string drop));
   ignore (Block_store.remove bs (Chunk.digest drop));
   let size_before = (Unix.stat path).Unix.st_size in
   Block_store.compact bs;
   let size_after = (Unix.stat path).Unix.st_size in
   Alcotest.(check bool) "compaction shrinks the file" true (size_after < size_before);
   Alcotest.(check bool) "live chunk survives compaction" true
-    (Block_store.get bs (Chunk.digest keep) = Some keep);
+    (Block_store.get bs (Chunk.digest keep) = Some (Bytes.to_string keep));
   Block_store.close bs;
   let bs2 = Block_store.create ~path () in
   Alcotest.(check bool) "compacted file reloads" true
-    (Block_store.get bs2 (Chunk.digest keep) = Some keep);
+    (Block_store.get bs2 (Chunk.digest keep) = Some (Bytes.to_string keep));
   Block_store.close bs2;
   Sys.remove path
 
@@ -268,7 +324,7 @@ let test_block_store_concurrent_puts () =
       (List.init 3 (fun _ ->
            List.init span (fun k ->
                let i = (d * span / 3) + k in
-               (i, Block_store.put bs ids.(i) chunks.(i)))))
+               (i, Block_store.put bs ids.(i) (Bytes.to_string chunks.(i))))))
   in
   let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
   let fresh = Array.make n 0 in
@@ -290,7 +346,7 @@ let test_block_store_concurrent_puts () =
   Alcotest.(check bool) "reopened hashes" true (Block_store.hashes bs2 = sorted_ids);
   Array.iteri
     (fun i c ->
-      Alcotest.(check bool) "content survives" true (Block_store.get bs2 ids.(i) = Some c))
+      Alcotest.(check bool) "content survives" true (Block_store.get bs2 ids.(i) = Some (Bytes.to_string c)))
     chunks;
   Block_store.close bs2;
   Sys.remove path
@@ -302,7 +358,7 @@ let qcheck_cache_budget =
     QCheck.(pair (int_range 0 2000) (list_of_size Gen.(0 -- 60) (int_range 0 200)))
     (fun (budget, sizes) ->
       let cache = Cache.create ~budget_bytes:budget () in
-      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (bytes_of_seed i len)) sizes;
+      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (string_of_seed i len)) sizes;
       let s = Cache.stats cache in
       s.Cache.current_bytes <= budget && Cache.budget cache = budget)
 
@@ -312,7 +368,7 @@ let qcheck_cache_bookkeeping =
     (fun (budget, sizes) ->
       let cache = Cache.create ~budget_bytes:budget () in
       (* unique keys: every put is either an insertion or a rejection *)
-      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (bytes_of_seed i len)) sizes;
+      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (string_of_seed i len)) sizes;
       List.iteri (fun i _ -> ignore (Cache.get cache (Int64.of_int i))) sizes;
       let s = Cache.stats cache in
       s.Cache.insertions + s.Cache.rejections = List.length sizes
@@ -328,7 +384,7 @@ let test_cache_capacity_ignores_ids () =
   let size = Chunk.default_size in
   let cache = Cache.create ~budget_bytes:(4 * size) () in
   let ids = [ 0L; 8L; 16L; 0x7fff_ffff_ffff_fff8L ] in
-  List.iteri (fun i id -> Cache.put cache id (bytes_of_seed i size)) ids;
+  List.iteri (fun i id -> Cache.put cache id (string_of_seed i size)) ids;
   let s = Cache.stats cache in
   Alcotest.(check (list int)) "insertions, rejections, evictions, entries, bytes"
     [ 4; 0; 0; 4; 4 * size ]
@@ -337,11 +393,11 @@ let test_cache_capacity_ignores_ids () =
   List.iteri
     (fun i id ->
       Alcotest.(check bool) "every chunk kept" true
-        (Cache.get cache id = Some (bytes_of_seed i size)))
+        (Cache.get cache id = Some (string_of_seed i size)))
     ids;
   (* a fifth chunk evicts the least recently used: the first id, whose
      get above came first *)
-  Cache.put cache 24L (bytes_of_seed 4 size);
+  Cache.put cache 24L (string_of_seed 4 size);
   Alcotest.(check bool) "LRU entry evicted" true (Cache.get cache 0L = None);
   Alcotest.(check int) "the rest kept" 4
     (List.length (List.filter (fun id -> Cache.get cache id <> None) (List.tl ids @ [ 24L ])))
@@ -357,7 +413,7 @@ let qcheck_cache_keeps_k_most_recent =
         (list_of_size Gen.(0 -- 80) (pair bool (int_range 0 11))))
     (fun (k, pool, ops) ->
       let size = 4096 in
-      let data id = bytes_of_seed (Int64.to_int id land 0xFFFF) size in
+      let data id = string_of_seed (Int64.to_int id land 0xFFFF) size in
       let cache = Cache.create ~budget_bytes:(k * size) () in
       let touch id mru = List.filteri (fun i _ -> i < k) (id :: List.filter (( <> ) id) mru) in
       let step (mru, ok) (is_put, slot) =
@@ -384,7 +440,7 @@ let test_cache_coalesces_concurrent_gets () =
   let fetch () =
     Atomic.incr upstream_calls;
     Unix.sleepf 0.03;
-    Ok (Bytes.copy payload)
+    Ok (Bytes.to_string payload)
   in
   let domains =
     Array.init 4 (fun _ -> Domain.spawn (fun () -> Cache.get_or_fetch cache id ~fetch))
@@ -392,7 +448,7 @@ let test_cache_coalesces_concurrent_gets () =
   let results = Array.map Domain.join domains in
   Array.iter
     (function
-      | Ok b -> Alcotest.(check bool) "identical bytes" true (b = payload)
+      | Ok b -> Alcotest.(check bool) "identical bytes" true (b = Bytes.to_string payload)
       | Error e -> Alcotest.fail ("coalesced get failed: " ^ Fault.to_string e))
     results;
   Alcotest.(check int) "exactly one upstream fetch" 1 (Atomic.get upstream_calls);
@@ -408,18 +464,18 @@ let test_cache_never_caches_errors () =
   | Ok _ -> Alcotest.fail "error fetch returned Ok"
   | Error _ -> ());
   Alcotest.(check bool) "error not cached" true (Cache.get cache 5L = None);
-  (match Cache.get_or_fetch cache 5L ~fetch:(fun () -> Ok (Bytes.of_string "good")) with
-  | Ok b -> Alcotest.(check string) "later fetch serves" "good" (Bytes.to_string b)
+  (match Cache.get_or_fetch cache 5L ~fetch:(fun () -> Ok "good") with
+  | Ok b -> Alcotest.(check string) "later fetch serves" "good" b
   | Error e -> Alcotest.fail (Fault.to_string e));
   let s = Cache.stats cache in
   Alcotest.(check int) "both fetches ran upstream" 2 s.Cache.single_flights
 
 (* A zero-budget cache admits nothing: every fetch is a counted miss,
    single flight and rejection, and the fetched chunk is handed back
-   without the copy only an admitted entry needs. *)
+   as it is, uncopied. *)
 let test_cache_zero_budget_copies_nothing () =
   let cache = Cache.create ~budget_bytes:0 () in
-  let chunk = bytes_of_seed 11 Chunk.default_size in
+  let chunk = string_of_seed 11 Chunk.default_size in
   let upstream = ref 0 in
   let fetch () =
     incr upstream;
@@ -429,7 +485,7 @@ let test_cache_zero_budget_copies_nothing () =
   let before = Gc.allocated_bytes () in
   for i = 0 to 99 do
     match Cache.get_or_fetch cache (Int64.of_int (i mod 10)) ~fetch with
-    | Ok b -> if not (Bytes.equal b chunk) then served := false
+    | Ok b -> if not (String.equal b chunk) then served := false
     | Error _ -> served := false
   done;
   let allocated = Gc.allocated_bytes () -. before in
@@ -456,14 +512,14 @@ let loopback_pair ?(jobs = 1) ?(cache_bytes = 1024 * 1024) () =
 let test_cache_read_into_copies_slice () =
   let cache = Cache.create ~budget_bytes:4096 () in
   let twin = Cache.create ~budget_bytes:4096 () in
-  let chunk = bytes_of_seed 3 256 in
+  let chunk = string_of_seed 3 256 in
   Cache.put cache 1L chunk;
   Cache.put twin 1L chunk;
   let dst = Bytes.make 32 'x' in
   Alcotest.(check bool) "hit" true (Cache.read_into cache 1L ~src_off:100 dst ~dst_off:8 ~len:16);
   ignore (Cache.get twin 1L);
   Alcotest.(check string) "only the slice is copied"
-    (String.make 8 'x' ^ Bytes.sub_string chunk 100 16 ^ String.make 8 'x')
+    (String.make 8 'x' ^ String.sub chunk 100 16 ^ String.make 8 'x')
     (Bytes.to_string dst);
   Alcotest.(check bool) "miss" false (Cache.read_into cache 2L ~src_off:0 dst ~dst_off:0 ~len:1);
   ignore (Cache.get twin 2L);
@@ -474,7 +530,7 @@ let test_cache_read_into_copies_slice () =
   Bytes.fill dst 0 32 '\000';
   ignore (Cache.read_into cache 1L ~src_off:0 dst ~dst_off:0 ~len:32);
   ignore (Cache.get twin 1L);
-  Alcotest.(check string) "cached chunk unchanged" (Bytes.sub_string chunk 0 32)
+  Alcotest.(check string) "cached chunk unchanged" (String.sub chunk 0 32)
     (Bytes.to_string dst);
   Alcotest.(check bool) "same accounting as get" true (Cache.stats cache = Cache.stats twin)
 
@@ -511,7 +567,7 @@ let read_via_get client cache m ~hits ~offset ~length =
     (fun i c ->
       let coff, clen = Chunk.chunk_span m (c0 + i) in
       let lo = max offset coff and hi = min (offset + length) (coff + clen) in
-      Bytes.blit (Option.get c) (lo - coff) out (lo - offset) (hi - lo))
+      Bytes.blit_string (Option.get c) (lo - coff) out (lo - offset) (hi - lo))
     chunks;
   out
 
@@ -672,6 +728,124 @@ let test_server_put_and_stat () =
     Alcotest.(check int) "one chunk stored" 1 i.Proto.chunks;
     Alcotest.(check int) "stored bytes" 90 i.Proto.store_bytes
   | Error e -> Alcotest.fail (Fault.to_string e)
+
+(* A chunk is shared from the store to the wire, so every byte a caller
+   hands in is copied on admission and every buffer handed out is the
+   caller's own: scribbling on either afterwards never changes what a
+   later GET or BATCH serves.  ([Cache.get] and [Block_store.get] hand
+   out strings, which cannot be scribbled on.) *)
+let test_served_chunks_never_alias_caller_bytes () =
+  let server, conn = loopback_pair () in
+  let client = Client.connect ~cache:(Cache.create ~budget_bytes:65536 ()) conn in
+  let raw = Transport.loopback ~handle:(Server.handle server) in
+  let ask req =
+    raw.Transport.send (Proto.encode_request req);
+    match Result.bind (raw.Transport.recv ()) Proto.decode_response with
+    | Ok resp -> resp
+    | Error e -> Alcotest.fail e
+  in
+  let served what id expect =
+    Alcotest.(check bool) (what ^ ": GET") true (ask (Proto.Get id) = Proto.Blob expect);
+    Alcotest.(check bool) (what ^ ": BATCH") true
+      (ask (Proto.Batch [ id ]) = Proto.Blobs [ (id, Some expect) ])
+  in
+  let scribble b = Bytes.fill b 0 (Bytes.length b) '\xAA' in
+  (* [Server.add_blob]: a blob that is one whole chunk, one shorter than
+     a chunk, and one of several chunks *)
+  List.iter
+    (fun (seed, len) ->
+      let blob = bytes_of_seed seed len in
+      let before = Bytes.to_string blob in
+      let m = Server.add_blob server ~chunk_size:64 ~name:(string_of_int seed) blob in
+      scribble blob;
+      Array.iteri
+        (fun i id ->
+          let off, n = Chunk.chunk_span m i in
+          served "add_blob" id (String.sub before off n))
+        m.Chunk.ids)
+    [ (1, 64); (2, 40); (3, 300) ];
+  (* [Client.put] *)
+  let payload = bytes_of_seed 4 100 in
+  let before = Bytes.to_string payload in
+  let id =
+    match Client.put client payload with
+    | Ok (id, _) -> id
+    | Error e -> Alcotest.fail (Fault.to_string e)
+  in
+  scribble payload;
+  served "Client.put" id before;
+  (* [Cache.put] into the server's cache: the GET is a cache hit *)
+  let chunk = bytes_of_seed 5 64 in
+  let before = Bytes.to_string chunk in
+  let id = Chunk.digest chunk in
+  Cache.put (Server.cache server) id (Bytes.to_string chunk);
+  scribble chunk;
+  let hits = (Cache.stats (Server.cache server)).Cache.hits in
+  served "Cache.put" id before;
+  Alcotest.(check int) "served from the server cache" (hits + 2)
+    (Cache.stats (Server.cache server)).Cache.hits;
+  (* a [Client.read_bytes] buffer: the same read again is a client cache
+     hit, and the server serves the chunk unchanged *)
+  let blob = bytes_of_seed 6 64 in
+  let m = Server.add_blob server ~chunk_size:64 ~name:"read" blob in
+  let read () =
+    match Client.read_bytes client m ~offset:0 ~length:64 with
+    | Ok b -> b
+    | Error e -> Alcotest.fail (Fault.to_string e)
+  in
+  scribble (read ());
+  Alcotest.(check bool) "read_bytes again, from the client cache" true (read () = blob);
+  Alcotest.(check int) "one range GET" 1 (Client.stats client).Client.range_gets;
+  served "read_bytes" m.Chunk.ids.(0) (Bytes.to_string blob)
+
+(* Bytes allocated by one call of [f], averaged over ten calls after a
+   warm-up call.  [prepare] runs outside the count.  Each call starts on
+   an empty minor heap, so no minor collection inside the count promotes
+   (and subtracts) an object allocated before it. *)
+let allocated_per_call ~prepare f =
+  let n = 10 in
+  ignore (Sys.opaque_identity (f (prepare 0)));
+  let total = ref 0.0 in
+  for i = 1 to n do
+    let x = prepare i in
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let r = f x in
+    total := !total +. (Gc.allocated_bytes () -. before);
+    ignore (Sys.opaque_identity r)
+  done;
+  !total /. float_of_int n
+
+let check_allocation what ~bound allocated =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates %.0f B (bound %d B)" what allocated bound)
+    true
+    (allocated <= float_of_int bound)
+
+(* A served chunk is copied once, into the response message, and a
+   fetched chunk once more, out of it; ingest copies each chunk once.
+   The bounds leave room for the messages' headers and bookkeeping, and
+   none of them for a second copy of the payload. *)
+let test_chunk_path_allocation_bounds () =
+  let size = Chunk.default_size in
+  let server, conn = loopback_pair () in
+  let m = Server.add_blob server ~name:"blob" (bytes_of_seed 81 (64 * size)) in
+  let batch = Proto.encode_request (Proto.Batch (List.init 8 (fun i -> m.Chunk.ids.(i)))) in
+  ignore (Server.handle server batch);
+  check_allocation "a warm BATCH of 8 chunks in Server.handle" ~bound:(40 * 1024)
+    (allocated_per_call ~prepare:ignore (fun () -> Server.handle server batch));
+  let client = Client.connect conn in
+  check_allocation "Client.fetch_chunks of 8" ~bound:(80 * 1024)
+    (allocated_per_call ~prepare:ignore (fun () -> Client.fetch_chunks client m ~first:0 ~count:8));
+  check_allocation "a 4 KiB Client.put round trip" ~bound:(14 * 1024)
+    (allocated_per_call
+       ~prepare:(fun i -> bytes_of_seed (1000 + i) size)
+       (fun payload -> Client.put client payload));
+  let blob = bytes_of_seed 82 (256 * 1024) in
+  check_allocation "Server.add_blob of 256 KiB" ~bound:(Bytes.length blob * 5 / 4)
+    (allocated_per_call
+       ~prepare:(fun _ -> Server.create ~store:(Block_store.create ()) ())
+       (fun server -> Server.add_blob server ~name:"big" blob))
 
 (* Stats and metrics replies carry no digest: injected corruption must
    fail their decoding (and be retried), never decode into wrong
@@ -1287,6 +1461,7 @@ let suite =
       Alcotest.test_case "proto request roundtrips" `Quick test_proto_request_roundtrip;
       Alcotest.test_case "proto response roundtrips" `Quick test_proto_response_roundtrip;
       Alcotest.test_case "proto rejects trailing bytes" `Quick test_proto_trailing_bytes;
+      QCheck_alcotest.to_alcotest qcheck_wire_matches_oracle;
       Alcotest.test_case "block store basics" `Quick test_block_store_basics;
       Alcotest.test_case "block store persists across restarts" `Quick
         test_block_store_persistence;
@@ -1317,6 +1492,10 @@ let suite =
       Alcotest.test_case "corrupt fault plan retried" `Quick
         test_client_corrupt_fault_plan_retried;
       Alcotest.test_case "put and stat" `Quick test_server_put_and_stat;
+      Alcotest.test_case "served chunks never alias caller bytes" `Quick
+        test_served_chunks_never_alias_caller_bytes;
+      Alcotest.test_case "chunk path allocation bounds" `Quick
+        test_chunk_path_allocation_bounds;
       Alcotest.test_case "stats and metrics under corruption" `Quick
         test_replies_under_corruption_exact_or_error;
       Alcotest.test_case "runtime reads through the store" `Quick
