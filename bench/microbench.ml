@@ -86,11 +86,6 @@ let test_kh5_read_audited =
   Test.make ~name:"kh5-row-read-audited"
     (Staged.stage (fun () -> Kondo_h5.File.read_slab kh5_audited "data" row_slab (fun _ _ -> ())))
 
-let blob = Bytes.init 262_144 (fun i -> Char.chr (i * 131 mod 256))
-
-let test_cdc =
-  Test.make ~name:"merkle-chunk-256K" (Staged.stage (fun () -> Kondo_container.Merkle.chunk_bytes blob))
-
 let fuzz_program = Kondo_workload.Stencils.ldc2d ~n:64 ()
 
 let test_debloat_test =
@@ -107,7 +102,6 @@ let tests =
       test_bitset_inter;
       test_kh5_read;
       test_kh5_read_audited;
-      test_cdc;
       test_debloat_test ]
 
 let run () =

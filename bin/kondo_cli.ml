@@ -280,8 +280,8 @@ let read_whole_file path =
 
 (* Order-sensitive digest of every value the run read, so CI can check a
    store-served run byte-for-byte against a local one. *)
-let checksum_empty = Merkle.hash_bytes Bytes.empty
-let checksum_add acc v = Merkle.hash_pair acc (Int64.bits_of_float v)
+let checksum_empty = Kondo_faults.Fnv.hash_bytes Bytes.empty
+let checksum_add acc v = Kondo_faults.Fnv.hash_pair acc (Int64.bits_of_float v)
 
 (* The counters of one store client, as [--stats-json] keys under
    [prefix]. *)

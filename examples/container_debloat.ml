@@ -2,9 +2,9 @@
 
    Alice ships a containerized stencil application with its data file;
    Bob pulls and runs it.  Kondo debloats the data layer before Bob's
-   pull, the Merkle transfer accounting shows what Bob downloads, and
-   the user-side runtime demonstrates both the data-missing exception
-   and the remote-fetch fallback of §VI.
+   pull; the store's fixed 4 KiB content-addressed chunks show what Bob
+   downloads, and the user-side runtime demonstrates both the
+   data-missing exception and the remote-fetch fallback of §VI.
 
      dune exec examples/container_debloat.exe *)
 
@@ -20,6 +20,19 @@ let read_file path =
   b
 
 let mib n = float_of_int n /. (1024.0 *. 1024.0)
+
+(* Bytes of [content]'s fixed-size chunks whose ids [held] lacks: what a
+   pull moves when the puller already has every chunk of [held]. *)
+let upgrade_bytes ~held content =
+  let module Chunk = Kondo_store.Chunk in
+  let have = Hashtbl.create 64 in
+  Array.iter (fun id -> Hashtbl.replace have id ()) (Chunk.manifest_of_bytes ~name:"" held).Chunk.ids;
+  let m = Chunk.manifest_of_bytes ~name:"" content in
+  let total = ref 0 in
+  Array.iteri
+    (fun i id -> if not (Hashtbl.mem have id) then total := !total + snd (Chunk.chunk_span m i))
+    m.Chunk.ids;
+  !total
 
 let () =
   (* ---- Alice: build the container ---------------------------------- *)
@@ -53,12 +66,12 @@ let () =
     (mib (Image.data_size image))
     (mib (Image.data_size debloated));
 
-  (* ---- Bob: pull (content-defined dedup) ---------------------------- *)
-  let cold = Image.transfer_size debloated ~have:Merkle.HashSet.empty in
-  let upgrade = Image.transfer_size debloated ~have:(Image.chunk_hashes image) in
+  (* ---- Bob: pull (chunk-level dedup) -------------------------------- *)
+  let layer img = Option.get (Image.data_content img ~dst:"/stencil/data.kh5") in
+  let cold = Image.env_size debloated + Image.data_size debloated in
+  let upgrade = upgrade_bytes ~held:(layer image) (layer debloated) in
   Printf.printf "Bob pulls     : %.1f MiB cold; upgrading from the full image moves only %.2f MiB of data\n"
-    (mib cold)
-    (mib (upgrade - Image.env_size debloated));
+    (mib cold) (mib upgrade);
 
   (* ---- Bob: run ------------------------------------------------------ *)
   let dir = Filename.temp_file "bob" "" in

@@ -74,7 +74,3 @@ let of_file path =
             invalid_arg "Io_port.pread: out of range";
           copy_out m off len);
     close = (fun () -> mapping := None) }
-
-let with_file path f =
-  let port = of_file path in
-  Fun.protect ~finally:port.close (fun () -> f port)

@@ -36,6 +36,3 @@ val of_file : string -> t
     reader keeps the inode it opened.  A file that another process
     truncates in place under a mapped reader makes that reader's next
     read of the lost pages fail with SIGBUS. *)
-
-val with_file : string -> (t -> 'a) -> 'a
-(** Open, apply, close (also on exception). *)

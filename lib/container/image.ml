@@ -79,26 +79,3 @@ let materialize t ~dir =
         Kondo_faults.Frame.atomic_write path (fun oc -> output_bytes oc d.content);
         Some (d.dst, path))
     t.layers
-
-let data_trees t =
-  List.filter_map (function Env _ -> None | Data d -> Some (Merkle.build d.content)) t.layers
-
-let chunk_hashes t =
-  List.fold_left
-    (fun acc tree -> Merkle.HashSet.union acc (Merkle.chunk_hash_set tree))
-    Merkle.HashSet.empty (data_trees t)
-
-let transfer_size t ~have =
-  (* Env layers transfer whole unless already present (identified by cmd
-     hash); data layers dedup at chunk granularity. *)
-  let env_bytes =
-    List.fold_left
-      (fun acc l ->
-        match l with
-        | Env e ->
-          if Merkle.HashSet.mem (Int64.of_int (Hashtbl.hash e.cmd)) have then acc else acc + e.bytes
-        | Data _ -> acc)
-      0 t.layers
-  in
-  env_bytes
-  + List.fold_left (fun acc tree -> acc + Merkle.transfer_size ~have tree) 0 (data_trees t)

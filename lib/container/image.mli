@@ -33,9 +33,3 @@ val materialize : t -> dir:string -> (string * string) list
 (** Write every data layer under [dir], each replacing its file
     atomically; returns [(dst, local_path)] mappings ready for
     {!Kondo_h5.File.open_file}. *)
-
-val transfer_size : t -> have:Merkle.HashSet.t -> int
-(** Bytes a user holding the given chunk set must download (content-
-    defined Merkle dedup across layers). *)
-
-val chunk_hashes : t -> Merkle.HashSet.t

@@ -48,10 +48,9 @@ let counters () =
       c "kondo_runtime_fetched_blocks_total" "Blocks fetched from the store source into an overlay" }
 
 let fetch_seconds =
-  lazy
-    (Registry.histogram
-       ~help:"Latency of fetching one block from the store source (overlay hits are not timed)"
-       Registry.default "kondo_runtime_fetch_seconds")
+  Registry.histogram
+    ~help:"Latency of fetching one block from the store source (overlay hits are not timed)"
+    Registry.default "kondo_runtime_fetch_seconds"
 
 let block_size = 4096
 
@@ -152,7 +151,7 @@ let block t m ~dataset o b s =
                 (Bytes.length blk) length))
       | Error e -> Error e
     in
-    Registry.observe (Lazy.force fetch_seconds)
+    Registry.observe fetch_seconds
       (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
     r
 

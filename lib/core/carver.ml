@@ -7,37 +7,31 @@ module Carve_obs = struct
   open Kondo_obs
 
   let runs =
-    lazy (Registry.counter ~help:"Carver invocations" Registry.default "kondo_carve_runs_total")
+    Registry.counter ~help:"Carver invocations" Registry.default "kondo_carve_runs_total"
 
   let cells =
-    lazy
-      (Registry.counter ~help:"Grid cells hulled (SPLIT output)" Registry.default
-         "kondo_carve_cells_total")
+    Registry.counter ~help:"Grid cells hulled (SPLIT output)" Registry.default
+      "kondo_carve_cells_total"
 
   let merges =
-    lazy
-      (Registry.counter ~help:"Hull merges performed by the bottom-up sweeps"
-         Registry.default "kondo_carve_merges_total")
+    Registry.counter ~help:"Hull merges performed by the bottom-up sweeps"
+      Registry.default "kondo_carve_merges_total"
 
   let hulls =
-    lazy
-      (Registry.counter ~help:"Hulls remaining after the merge fixpoint" Registry.default
-         "kondo_carve_hulls_total")
+    Registry.counter ~help:"Hulls remaining after the merge fixpoint" Registry.default
+      "kondo_carve_hulls_total"
 
   let vertices =
-    lazy
-      (Registry.counter ~help:"Vertices across the final merged hulls" Registry.default
-         "kondo_carve_vertices_total")
+    Registry.counter ~help:"Vertices across the final merged hulls" Registry.default
+      "kondo_carve_vertices_total"
 
   let raster_rows =
-    lazy
-      (Registry.counter ~help:"Lattice rows scanned by rasterize" Registry.default
-         "kondo_rasterize_rows_total")
+    Registry.counter ~help:"Lattice rows scanned by rasterize" Registry.default
+      "kondo_rasterize_rows_total"
 
   let raster_contains =
-    lazy
-      (Registry.counter ~help:"Hull containment tests made by rasterize" Registry.default
-         "kondo_rasterize_contains_total")
+    Registry.counter ~help:"Hull containment tests made by rasterize" Registry.default
+      "kondo_rasterize_contains_total"
 end
 
 let close ~config h1 h2 =
@@ -181,11 +175,11 @@ let carve_points ~config ~dims points =
       List.fold_left (fun acc h -> acc + List.length (Hull.vertices h)) 0 merged
     in
     let open Kondo_obs in
-    Registry.inc (Lazy.force Carve_obs.runs);
-    Registry.inc ~by:initial_cells (Lazy.force Carve_obs.cells);
-    Registry.inc ~by:merges (Lazy.force Carve_obs.merges);
-    Registry.inc ~by:(List.length merged) (Lazy.force Carve_obs.hulls);
-    Registry.inc ~by:final_vertices (Lazy.force Carve_obs.vertices);
+    Registry.inc Carve_obs.runs;
+    Registry.inc ~by:initial_cells Carve_obs.cells;
+    Registry.inc ~by:merges Carve_obs.merges;
+    Registry.inc ~by:(List.length merged) Carve_obs.hulls;
+    Registry.inc ~by:final_vertices Carve_obs.vertices;
     { hulls = merged; initial_cells; merge_rounds; merges }
 
 let carve ~config is =
@@ -218,6 +212,6 @@ let rasterize shape hulls =
       calls := !calls + s.Hull.contains_calls)
     hulls;
   let open Kondo_obs in
-  Registry.inc ~by:!rows (Lazy.force Carve_obs.raster_rows);
-  Registry.inc ~by:!calls (Lazy.force Carve_obs.raster_contains);
+  Registry.inc ~by:!rows Carve_obs.raster_rows;
+  Registry.inc ~by:!calls Carve_obs.raster_contains;
   out

@@ -16,39 +16,32 @@ module Sched_obs = struct
   open Kondo_obs
 
   let rounds =
-    lazy
-      (Registry.counter ~help:"Completed fuzz schedules (rounds)" Registry.default
-         "kondo_schedule_rounds_total")
+    Registry.counter ~help:"Completed fuzz schedules (rounds)" Registry.default
+      "kondo_schedule_rounds_total"
 
   let evaluations =
-    lazy
-      (Registry.counter ~help:"Debloat tests executed" Registry.default
-         "kondo_schedule_evaluations_total")
+    Registry.counter ~help:"Debloat tests executed" Registry.default
+      "kondo_schedule_evaluations_total"
 
   let useful =
-    lazy
-      (Registry.counter ~help:"Evaluations classified useful" Registry.default
-         "kondo_schedule_useful_total")
+    Registry.counter ~help:"Evaluations classified useful" Registry.default
+      "kondo_schedule_useful_total"
 
   let restarts =
-    lazy
-      (Registry.counter ~help:"Random restarts (queue re-seeds)" Registry.default
-         "kondo_schedule_restarts_total")
+    Registry.counter ~help:"Random restarts (queue re-seeds)" Registry.default
+      "kondo_schedule_restarts_total"
 
   let ee_moves =
-    lazy
-      (Registry.counter ~help:"Plain exploit/explore mutations proposed" Registry.default
-         "kondo_schedule_ee_moves_total")
+    Registry.counter ~help:"Plain exploit/explore mutations proposed" Registry.default
+      "kondo_schedule_ee_moves_total"
 
   let boundary_moves =
-    lazy
-      (Registry.counter ~help:"Boundary-directed mutations proposed" Registry.default
-         "kondo_schedule_boundary_moves_total")
+    Registry.counter ~help:"Boundary-directed mutations proposed" Registry.default
+      "kondo_schedule_boundary_moves_total"
 
   let stagnation_stops =
-    lazy
-      (Registry.counter ~help:"Runs stopped by the stagnation rule" Registry.default
-         "kondo_schedule_stagnation_stops_total")
+    Registry.counter ~help:"Runs stopped by the stagnation rule" Registry.default
+      "kondo_schedule_stagnation_stops_total"
 end
 
 type outcome = { iter : int; params : float array; useful : bool; new_offsets : int }
@@ -210,13 +203,13 @@ let run_with_eval ~config p ~eval =
      done
    with Exit -> ());
   let open Kondo_obs in
-  Registry.inc (Lazy.force Sched_obs.rounds);
-  Registry.inc ~by:!evaluations (Lazy.force Sched_obs.evaluations);
-  Registry.inc ~by:!useful_count (Lazy.force Sched_obs.useful);
-  Registry.inc ~by:!restarts (Lazy.force Sched_obs.restarts);
-  Registry.inc ~by:!ee_moves (Lazy.force Sched_obs.ee_moves);
-  Registry.inc ~by:!boundary_moves (Lazy.force Sched_obs.boundary_moves);
-  if !stopped = Stagnation then Registry.inc (Lazy.force Sched_obs.stagnation_stops);
+  Registry.inc Sched_obs.rounds;
+  Registry.inc ~by:!evaluations Sched_obs.evaluations;
+  Registry.inc ~by:!useful_count Sched_obs.useful;
+  Registry.inc ~by:!restarts Sched_obs.restarts;
+  Registry.inc ~by:!ee_moves Sched_obs.ee_moves;
+  Registry.inc ~by:!boundary_moves Sched_obs.boundary_moves;
+  if !stopped = Stagnation then Registry.inc Sched_obs.stagnation_stops;
   (match span with
   | None -> ()
   | Some (tr, s) ->

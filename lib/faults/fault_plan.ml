@@ -47,8 +47,6 @@ let is_none t = total t.rates = 0.0
 
 let seed t = t.seed
 
-let copy t = { t with counters = Hashtbl.copy t.counters }
-
 (* The n-th decision at a call site is a pure function of
    (seed, site, n): deterministic whatever other sites ran in between,
    so two runs of the same command — or the same run at a different

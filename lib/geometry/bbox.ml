@@ -33,9 +33,6 @@ let union a b =
   { lo = Array.init (dim a) (fun i -> Float.min a.lo.(i) b.lo.(i));
     hi = Array.init (dim a) (fun i -> Float.max a.hi.(i) b.hi.(i)) }
 
-let inflate b m =
-  { lo = Array.map (fun x -> x -. m) b.lo; hi = Array.map (fun x -> x +. m) b.hi }
-
 let volume b =
   let v = ref 1.0 in
   for i = 0 to dim b - 1 do

@@ -16,9 +16,6 @@ val contains : ?eps:float -> t -> float array -> bool
 
 val union : t -> t -> t
 
-val inflate : t -> float -> t
-(** [inflate b m] grows every side by margin [m] in both directions. *)
-
 val volume : t -> float
 
 val min_dist : t -> t -> float

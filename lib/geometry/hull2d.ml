@@ -61,5 +61,3 @@ let area t =
     s := !s +. ((a.(0) *. b.(1)) -. (b.(0) *. a.(1)))
   done;
   Float.abs !s /. 2.0
-
-let centroid t = Vec.centroid (vertices t)

@@ -23,6 +23,3 @@ val contains : ?eps:float -> t -> float array -> bool
 (** Point-in-convex-polygon test; boundary points are inside. *)
 
 val area : t -> float
-
-val centroid : t -> float array
-(** Centroid of the hull {e vertices} (the paper's hull "center"). *)

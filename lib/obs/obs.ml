@@ -20,5 +20,3 @@ let span ?cat ?args ?result_args name f =
 
 let instant ?cat ?args name =
   match tracer () with None -> () | Some t -> Trace.instant t ?cat ?args name
-
-let metrics = Registry.default

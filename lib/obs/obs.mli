@@ -26,6 +26,3 @@ val span :
     attribute and re-raises. *)
 
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
-
-val metrics : Registry.t
-(** Alias for {!Registry.default}. *)

@@ -157,10 +157,6 @@ let histogram_count h =
   let _, _, count = histogram_snapshot h in
   count
 
-let histogram_sum h =
-  let _, sum, _ = histogram_snapshot h in
-  sum
-
 let histogram_buckets h =
   let buckets, _, _ = histogram_snapshot h in
   buckets

@@ -76,7 +76,6 @@ val histogram : ?help:string -> ?buckets:float array -> t -> string -> histogram
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val histogram_buckets : histogram -> (float * int) list
 (** Cumulative per-bucket counts [(upper_bound, count <= bound)], the

@@ -12,25 +12,21 @@ let max_jobs = 64
    up).  Counters are domain-safe atomic cells; the per-task clock
    read is two orders of magnitude below any real task body. *)
 let m_fanouts =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Pool fan-outs (map_reduce/map_list calls)"
-       Kondo_obs.Registry.default "kondo_pool_fanouts_total")
+  Kondo_obs.Registry.counter ~help:"Pool fan-outs (map_reduce/map_list calls)"
+    Kondo_obs.Registry.default "kondo_pool_fanouts_total"
 
 let m_tasks =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Tasks executed by pool workers"
-       Kondo_obs.Registry.default "kondo_pool_tasks_total")
+  Kondo_obs.Registry.counter ~help:"Tasks executed by pool workers"
+    Kondo_obs.Registry.default "kondo_pool_tasks_total"
 
 let m_spawns =
-  lazy
-    (Kondo_obs.Registry.counter ~help:"Worker domains spawned by pool fan-outs"
-       Kondo_obs.Registry.default "kondo_pool_worker_spawns_total")
+  Kondo_obs.Registry.counter ~help:"Worker domains spawned by pool fan-outs"
+    Kondo_obs.Registry.default "kondo_pool_worker_spawns_total"
 
 let m_wait =
-  lazy
-    (Kondo_obs.Registry.histogram
-       ~help:"Seconds between fan-out start and task pick-up"
-       Kondo_obs.Registry.default "kondo_pool_task_wait_seconds")
+  Kondo_obs.Registry.histogram
+    ~help:"Seconds between fan-out start and task pick-up"
+    Kondo_obs.Registry.default "kondo_pool_task_wait_seconds"
 
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
@@ -43,13 +39,12 @@ let default_jobs () = Domain.recommended_domain_count ()
 (* Evaluate [f i] for i in [0, n); the result array is indexed by task so
    callers can consume it in task order whatever the execution order. *)
 let run_tasks t n f =
-  Kondo_obs.Registry.inc (Lazy.force m_fanouts);
-  let tasks = Lazy.force m_tasks and wait = Lazy.force m_wait in
+  Kondo_obs.Registry.inc m_fanouts;
   let t_start = Kondo_obs.Clock.now Kondo_obs.Clock.real in
   let capture i =
-    Kondo_obs.Registry.observe wait
+    Kondo_obs.Registry.observe m_wait
       (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t_start));
-    Kondo_obs.Registry.inc tasks;
+    Kondo_obs.Registry.inc m_tasks;
     try Ok (f i) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
   let results = Array.make n None in
@@ -81,7 +76,7 @@ let run_tasks t n f =
               loop ()
             in
             let spawned = min t.jobs n in
-            Kondo_obs.Registry.inc ~by:spawned (Lazy.force m_spawns);
+            Kondo_obs.Registry.inc ~by:spawned m_spawns;
             let domains = List.init spawned (fun _ -> Domain.spawn worker) in
             List.iter Domain.join domains)
       end);

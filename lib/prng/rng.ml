@@ -51,8 +51,6 @@ let float_in t lo hi =
   assert (lo <= hi);
   lo +. float t (hi -. lo)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p = float t 1.0 < p
 
 let gaussian t =

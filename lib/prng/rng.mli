@@ -44,9 +44,6 @@ val float : t -> float -> float
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform in [\[lo, hi)].  Requires [lo <= hi]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

@@ -1,8 +1,8 @@
-module Merkle = Kondo_container.Merkle
+module Fnv = Kondo_faults.Fnv
 
 type id = int64
 
-let digest = Merkle.hash_bytes
+let digest = Fnv.hash_bytes
 
 let default_size = 4096
 
@@ -22,11 +22,10 @@ let split ?(chunk_size = default_size) buf =
       let off = i * chunk_size in
       (i, Bytes.sub buf off (min chunk_size (n - off))))
 
-(* The FNV offset basis doubles as the empty root, matching
-   [Merkle.root_hash] on an empty tree. *)
-let empty_root = Merkle.hash_bytes Bytes.empty
+(* The FNV offset basis doubles as the empty root. *)
+let empty_root = Fnv.hash_bytes Bytes.empty
 
-let root_of_ids ids = Array.fold_left Merkle.hash_pair empty_root ids
+let root_of_ids ids = Array.fold_left Fnv.hash_pair empty_root ids
 
 let manifest_of_bytes ?(chunk_size = default_size) ~name buf =
   if chunk_size < 1 then invalid_arg "Chunk.manifest_of_bytes: chunk_size < 1";
@@ -34,7 +33,7 @@ let manifest_of_bytes ?(chunk_size = default_size) ~name buf =
   let ids =
     Array.init ((n + chunk_size - 1) / chunk_size) (fun i ->
         let off = i * chunk_size in
-        Merkle.hash_region buf off (min chunk_size (n - off)))
+        Fnv.hash_region buf off (min chunk_size (n - off)))
   in
   { name; chunk_size; total_len = n; ids; root = root_of_ids ids }
 

@@ -1,20 +1,20 @@
-(** Fixed-size chunking of debloated payloads, content-addressed with the
-    container layer's FNV digests.
+(** Fixed-size chunking of debloated payloads, content-addressed with
+    {!Kondo_faults.Fnv} digests.
 
     A blob (typically the dense logical data section of one dataset of
     the un-debloated source file) is tiled into fixed-size chunks; each
-    chunk's id {e is} its {!Kondo_container.Merkle.hash_bytes} digest, so
+    chunk's id {e is} its {!Kondo_faults.Fnv.hash_bytes} digest, so
     the store is content-addressed and a fetched payload can be verified
     against the id it was requested under.  The manifest — chunk size,
     blob length, the id of every chunk, and a root digest folded with
-    {!Kondo_container.Merkle.hash_pair} — is the small piece of metadata
+    {!Kondo_faults.Fnv.hash_pair} — is the small piece of metadata
     a client needs to map byte offsets to chunk ids and to verify every
     payload it receives. *)
 
 type id = int64
 
 val digest : bytes -> id
-(** Content digest of a chunk payload ({!Kondo_container.Merkle.hash_bytes}). *)
+(** Content digest of a chunk payload ({!Kondo_faults.Fnv.hash_bytes}). *)
 
 val default_size : int
 (** Default chunk size in bytes (4096). *)
@@ -24,7 +24,7 @@ type manifest = {
   chunk_size : int;
   total_len : int;     (** blob length in bytes *)
   ids : id array;      (** per-chunk content digests, in offset order *)
-  root : id;           (** fold of [ids] with [Merkle.hash_pair] *)
+  root : id;           (** fold of [ids] with [Fnv.hash_pair] *)
 }
 
 val split : ?chunk_size:int -> bytes -> (int * bytes) list
@@ -37,7 +37,7 @@ val manifest_of_bytes : ?chunk_size:int -> name:string -> bytes -> manifest
     @raise Invalid_argument when [chunk_size < 1]. *)
 
 val root_of_ids : id array -> id
-(** The manifest root: [ids] folded left with [Merkle.hash_pair]
+(** The manifest root: [ids] folded left with [Fnv.hash_pair]
     (the FNV offset basis for an empty blob). *)
 
 val chunk_count : manifest -> int

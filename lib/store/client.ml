@@ -47,15 +47,13 @@ let counters () =
     cache_hits = c "kondo_store_client_cache_hits_total" "Chunks served from the local cache" }
 
 let request_seconds =
-  lazy
-    (Registry.histogram ~help:"Breaker-gated exchange latency (including retries)"
-       Registry.default "kondo_store_client_request_seconds")
+  Registry.histogram ~help:"Breaker-gated exchange latency (including retries)"
+    Registry.default "kondo_store_client_request_seconds"
 
 let batch_size =
-  lazy
-    (Registry.histogram ~help:"Chunk ids per BATCH range GET"
-       ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-       Registry.default "kondo_store_client_batch_size")
+  Registry.histogram ~help:"Chunk ids per BATCH range GET"
+    ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
+    Registry.default "kondo_store_client_batch_size"
 
 type t = {
   conn : Transport.conn;
@@ -145,7 +143,7 @@ let exchange t req ~check =
           | Error _ as e -> e
           | Ok resp -> check resp)
     in
-    Registry.observe (Lazy.force request_seconds)
+    Registry.observe request_seconds
       (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
     t.now_ms <- t.now_ms +. outcome.Retry.elapsed_ms +. 1.0;
     Registry.inc ~by:(Retry.retries outcome) t.n.retries;
@@ -187,10 +185,12 @@ let scrape t =
     | Proto.Err msg -> Error (Fault.Permanent msg)
     | resp -> unexpected resp)
 
+(* The payload is lent, not copied: the request encoder's copy is the
+   one that leaves, and nothing keeps the request after [exchange]. *)
 let put t payload =
   let id = Chunk.digest payload in
   exchange t
-    (Proto.Put (id, Bytes.to_string payload))
+    (Proto.Put (id, Bytes.unsafe_to_string payload))
     ~check:(function
       | Proto.Stored fresh -> Ok (id, fresh)
       | Proto.Err msg -> Error (Fault.Permanent msg)
@@ -217,7 +217,7 @@ let fetch_chunks t m ~first ~count =
   else begin
     let ids = List.init count (fun i -> m.Chunk.ids.(first + i)) in
     Registry.inc t.n.range_gets;
-    Registry.observe (Lazy.force batch_size) (float_of_int count);
+    Registry.observe batch_size (float_of_int count);
     exchange t (Proto.Batch ids) ~check:(function
       | Proto.Blobs entries ->
         if List.length entries <> count then

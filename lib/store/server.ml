@@ -1,15 +1,13 @@
 module Kfile = Kondo_h5.File
 
 let request_seconds =
-  lazy
-    (Kondo_obs.Registry.histogram ~help:"Store server request handling latency"
-       Kondo_obs.Registry.default "kondo_store_server_request_seconds")
+  Kondo_obs.Registry.histogram ~help:"Store server request handling latency"
+    Kondo_obs.Registry.default "kondo_store_server_request_seconds"
 
 let batch_size =
-  lazy
-    (Kondo_obs.Registry.histogram ~help:"Chunk ids per BATCH request"
-       ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
-       Kondo_obs.Registry.default "kondo_store_server_batch_size")
+  Kondo_obs.Registry.histogram ~help:"Chunk ids per BATCH request"
+    ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
+    Kondo_obs.Registry.default "kondo_store_server_batch_size"
 
 type t = {
   store : Block_store.t;
@@ -129,7 +127,7 @@ let apply t req =
     (* a range GET: fan the lookups out over a domain pool — concurrent
        misses on duplicate ids coalesce in the cache's single-flight *)
     Kondo_obs.Registry.observe
-      (Lazy.force batch_size)
+      batch_size
       (float_of_int (List.length ids));
     let lookup id =
       (id, match lookup_chunk t id with Ok b -> Some b | Error _ -> None)
@@ -161,7 +159,7 @@ let handle t body =
   in
   let encoded = Proto.encode_response resp in
   Kondo_obs.Registry.observe
-    (Lazy.force request_seconds)
+    request_seconds
     (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
   encoded
 

@@ -1,5 +1,5 @@
-(* Tests for the container substrate: spec parsing, Merkle chunking,
-   image build, and the user-side runtime. *)
+(* Tests for the container substrate: spec parsing, image build, and the
+   user-side runtime. *)
 
 open Kondo_container
 
@@ -71,68 +71,6 @@ let test_data_dep_for () =
   | Some d -> Alcotest.(check string) "source" "./mnist.h5" d.Spec.src
   | None -> Alcotest.fail "dep not found");
   Alcotest.(check bool) "unknown dep" true (Spec.data_dep_for s "/nope" = None)
-
-(* ---------------- Merkle ---------------- *)
-
-let random_bytes seed n =
-  let rng = Kondo_prng.Rng.create seed in
-  Bytes.init n (fun _ -> Kondo_prng.Rng.byte rng)
-
-let test_chunks_tile_input () =
-  let data = random_bytes 1 100_000 in
-  let chunks = Merkle.chunk_bytes data in
-  let total = List.fold_left (fun acc c -> acc + c.Merkle.length) 0 chunks in
-  Alcotest.(check int) "tiling" (Bytes.length data) total;
-  let _ =
-    List.fold_left
-      (fun expected c ->
-        Alcotest.(check int) "contiguous offsets" expected c.Merkle.offset;
-        expected + c.Merkle.length)
-      0 chunks
-  in
-  ()
-
-let test_chunking_deterministic () =
-  let data = random_bytes 2 50_000 in
-  Alcotest.(check bool) "same chunks" true (Merkle.chunk_bytes data = Merkle.chunk_bytes data)
-
-let test_chunk_bounds () =
-  let data = random_bytes 3 200_000 in
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "length in [min,max] or final" true
-        (c.Merkle.length <= 65536 && c.Merkle.length >= 1))
-    (Merkle.chunk_bytes data)
-
-let test_root_hash_content_sensitive () =
-  let a = random_bytes 4 10_000 in
-  let b = Bytes.copy a in
-  Bytes.set b 5000 'X';
-  let ta = Merkle.build a and tb = Merkle.build b in
-  Alcotest.(check bool) "hashes differ" true (Merkle.root_hash ta <> Merkle.root_hash tb)
-
-let test_local_edit_dedup () =
-  (* flipping one byte should invalidate few chunks: the transfer between
-     versions is much smaller than the blob *)
-  let a = random_bytes 5 200_000 in
-  let b = Bytes.copy a in
-  Bytes.set b 100_000 '!';
-  let reused, transferred = Merkle.diff_summary ~old_tree:(Merkle.build a) ~new_tree:(Merkle.build b) in
-  Alcotest.(check int) "sizes add up" 200_000 (reused + transferred);
-  Alcotest.(check bool) "mostly reused" true (reused > 150_000)
-
-let test_transfer_size_full_when_empty () =
-  let a = random_bytes 6 30_000 in
-  let t = Merkle.build a in
-  Alcotest.(check int) "cold transfer = blob size" 30_000
-    (Merkle.transfer_size ~have:Merkle.HashSet.empty t);
-  Alcotest.(check int) "warm transfer = 0" 0
-    (Merkle.transfer_size ~have:(Merkle.chunk_hash_set t) t)
-
-let test_empty_blob () =
-  let t = Merkle.build (Bytes.create 0) in
-  Alcotest.(check int) "no chunks" 0 (List.length (Merkle.chunks t));
-  Alcotest.(check int) "no bytes" 0 (Merkle.total_bytes t)
 
 (* ---------------- Image & Runtime ---------------- *)
 
@@ -365,13 +303,6 @@ let suite =
       Alcotest.test_case "param ranges" `Quick test_param_ranges;
       Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
       Alcotest.test_case "data_dep_for" `Quick test_data_dep_for;
-      Alcotest.test_case "merkle chunks tile input" `Quick test_chunks_tile_input;
-      Alcotest.test_case "merkle chunking deterministic" `Quick test_chunking_deterministic;
-      Alcotest.test_case "merkle chunk bounds" `Quick test_chunk_bounds;
-      Alcotest.test_case "merkle root content-sensitive" `Quick test_root_hash_content_sensitive;
-      Alcotest.test_case "merkle local edit dedups" `Quick test_local_edit_dedup;
-      Alcotest.test_case "merkle transfer sizes" `Quick test_transfer_size_full_when_empty;
-      Alcotest.test_case "merkle empty blob" `Quick test_empty_blob;
       Alcotest.test_case "image build sizes" `Quick test_image_build_sizes;
       Alcotest.test_case "image replace data" `Quick test_image_replace_data;
       Alcotest.test_case "runtime serves reads" `Quick test_runtime_serves_reads;

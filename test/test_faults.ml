@@ -1,6 +1,6 @@
 (* Tests for kondo_faults: deterministic fault plans, the retry
-   combinator, the circuit breaker, CRC framing, and the salvaging
-   loaders built on them (Event_log, Campaign). *)
+   combinator, the circuit breaker, the FNV digest, CRC framing, and the
+   salvaging loaders built on them (Event_log, Campaign). *)
 
 open Kondo_faults
 
@@ -218,6 +218,24 @@ let test_breaker_state_machine () =
   Breaker.record_success b;
   Alcotest.(check bool) "recovered closed" true (Breaker.state b = Breaker.Closed);
   Alcotest.(check int) "recovery counted" 1 (Breaker.stats b).Breaker.recoveries
+
+(* ---------------- Fnv ---------------- *)
+
+(* Chunk ids, manifest roots and the CLI's [value checksum] are these
+   digests, so a moved value would orphan every stored id: pin FNV-1a-64
+   to its published known answers, whole and digested in place at an
+   offset, and pin the pair combiner a manifest root folds with. *)
+let test_fnv_known_answers () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int64) (Printf.sprintf "hash_bytes %S" s) h (Fnv.hash_bytes (Bytes.of_string s));
+      Alcotest.(check int64) (Printf.sprintf "hash_region %S at offset 3" s) h
+        (Fnv.hash_region (Bytes.of_string ("xyz" ^ s ^ "uvw")) 3 (String.length s)))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ];
+  Alcotest.(check int64) "hash_pair" 0xc9b04aab813a3f3aL
+    (Fnv.hash_pair 0xcbf29ce484222325L 0xaf63dc4c8601ec8cL);
+  Alcotest.check_raises "region past the end" (Invalid_argument "Fnv.hash_region") (fun () ->
+      ignore (Fnv.hash_region (Bytes.create 4) 2 3))
 
 (* ---------------- Frame ---------------- *)
 
@@ -459,6 +477,7 @@ let suite =
       Alcotest.test_case "retry stops on fatal" `Quick test_retry_fatal_stops;
       Alcotest.test_case "retry deadline budget" `Quick test_retry_deadline_cuts;
       Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
+      Alcotest.test_case "fnv known answers" `Quick test_fnv_known_answers;
       Alcotest.test_case "crc32 known answer" `Quick test_crc32_known_answer;
       QCheck_alcotest.to_alcotest qcheck_crc32_matches_bytewise;
       Alcotest.test_case "frame input over a channel" `Quick test_frame_input;

@@ -837,7 +837,7 @@ let test_chunk_path_allocation_bounds () =
   let client = Client.connect conn in
   check_allocation "Client.fetch_chunks of 8" ~bound:(80 * 1024)
     (allocated_per_call ~prepare:ignore (fun () -> Client.fetch_chunks client m ~first:0 ~count:8));
-  check_allocation "a 4 KiB Client.put round trip" ~bound:(14 * 1024)
+  check_allocation "a 4 KiB Client.put round trip" ~bound:(10 * 1024)
     (allocated_per_call
        ~prepare:(fun i -> bytes_of_seed (1000 + i) size)
        (fun payload -> Client.put client payload));
