@@ -73,7 +73,7 @@ let now () = Kondo_obs.Clock.now Kondo_obs.Clock.real
    totals, by name — into its BENCH_*.json doc. *)
 let phase_prefix = "phase."
 
-let phase name f = Kondo_obs.Obs.span (phase_prefix ^ name) f
+let phase name f = Kondo_obs.Obs.(span (section (phase_prefix ^ name))) f
 
 let with_phases f =
   let tr = Kondo_obs.Trace.create () in

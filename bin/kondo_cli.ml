@@ -85,12 +85,13 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Write the process metrics registry (counters, gauges, latency histograms) to \
-           FILE in Prometheus text exposition format when the command finishes.")
+          "Write the process metrics registry (counters, histograms, and every span's \
+           kondo_span_seconds series) to FILE in Prometheus text exposition format when \
+           the command finishes.")
 
 (* Install the ambient tracer for the duration of [f], then export the
    requested artifacts.  The tracer is only created when --trace was
-   given, so untraced runs keep the zero-cost fast path. *)
+   given; spans count in the registry either way. *)
 let with_obs ~trace ~metrics f =
   let tracer = Option.map (fun _ -> Kondo_obs.Trace.create ()) trace in
   Kondo_obs.Obs.set_tracer tracer;
@@ -296,10 +297,12 @@ let print_client label cs =
     label (v "fetched_chunks") (v "range_gets") (v "corrupt_fetches") (v "retries")
     (v "breaker_rejections") (v "cache_hits")
 
-(* Run the program's access plan through the hardened container runtime:
-   local reads from [path], carved-away offsets served by the chunk
-   store and then by [src], both through store clients under the
-   retry/breaker machinery (and any injected faults). *)
+(* Run the program's access plan through the container runtime, which
+   reads [path] in place.  With [remote_store] or [src], carved-away
+   offsets are served by the chunk store and then by [src], both through
+   store clients under the retry/breaker machinery (and any injected
+   faults); without either, the first carved-away read ends the run.
+   Returns whether no read was missing. *)
 let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retries
     ~deadline_ms ~plan ~stats_json =
   let retry =
@@ -309,17 +312,21 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
   in
   let cache () = Kondo_store.Cache.create ~budget_bytes:store_cache () in
   let dst = "/data" in
-  let spec =
-    { Spec.empty with
-      Spec.base = "scratch";
-      data_deps = [ { Spec.src = Option.value src ~default:""; dst } ] }
+  (* A source's view of the mount: its bytes, with [src] as their
+     origin.  Only a run with a source reads the file up front. *)
+  let image =
+    lazy
+      (Image.build
+         { Spec.empty with
+           Spec.base = "scratch";
+           data_deps = [ { Spec.src = Option.value src ~default:""; dst } ] }
+         ~fetch:(fun _ -> read_whole_file path))
   in
-  let image = Image.build spec ~fetch:(fun _ -> read_whole_file path) in
   let remote =
     match src with
     | None -> None
     | Some _ -> (
-      match Kondo_store.Source.of_image ~retry ~faults:plan ~cache:(cache ()) image with
+      match Kondo_store.Source.of_image ~retry ~faults:plan ~cache:(cache ()) (Lazy.force image) with
       | Ok r -> Some r
       | Error msg ->
         Printf.eprintf "%s\n" msg;
@@ -336,25 +343,45 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
             exit 2
         in
         let client = Kondo_store.Client.connect ~retry ~faults:plan ~cache:(cache ()) conn in
-        (client, Kondo_store.Source.of_client ~store_name ~image client))
+        (client, Kondo_store.Source.of_client ~store_name ~image:(Lazy.force image) client))
       remote_store
   in
-  let dir = Filename.temp_file "kondo_run" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let source = Kondo_store.Source.first (List.filter_map (Option.map snd) [ store; remote ]) in
-  let rt = Runtime.boot ~store:source ~image ~dir () in
+  let clients = List.filter_map Fun.id [ store; remote ] in
+  let source =
+    match clients with [] -> None | cs -> Some (Kondo_store.Source.first (List.map snd cs))
+  in
+  let rt =
+    try Runtime.of_files ?store:source [ (dst, path) ]
+    with Kondo_h5.Binio.Corrupt msg -> raise (Kondo_h5.Binio.Corrupt (path ^ ": " ^ msg))
+  in
+  Fun.protect ~finally:(fun () ->
+      Runtime.shutdown rt;
+      List.iter (fun (c, _) -> Kondo_store.Client.close c) clients)
+  @@ fun () ->
   let csum = ref checksum_empty in
-  Program.iter_access p v (fun idx ->
-      match Runtime.try_read_element rt ~dst ~dataset:p.Program.dataset idx with
-      | Ok value -> csum := checksum_add !csum value
-      | Error (Runtime.Degraded _) -> ()
-      | Error exn -> raise exn);
+  let missing =
+    match
+      Program.iter_access p v (fun idx ->
+          match Runtime.try_read_element rt ~dst ~dataset:p.Program.dataset idx with
+          | Ok value -> csum := checksum_add !csum value
+          | Error (Runtime.Degraded _) -> ()
+          | Error exn -> raise exn)
+    with
+    | () -> None
+    | exception Kondo_h5.File.Data_missing miss -> Some miss
+  in
   let s = Runtime.stats rt in
-  Printf.printf "read %d elements: %d local, %d served on a miss (%d bytes), %d degraded\n"
-    s.Runtime.reads
-    (s.Runtime.reads - s.Runtime.misses)
-    s.Runtime.store_fetches s.Runtime.store_bytes s.Runtime.degraded_reads;
+  (match (missing, source) with
+  | Some miss, _ ->
+    Printf.printf "DATA MISSING at index (%s), byte offset %d — not containerized for this valuation\n"
+      (String.concat "," (Array.to_list (Array.map string_of_int miss.Kondo_h5.File.index)))
+      miss.Kondo_h5.File.offset
+  | None, None -> Printf.printf "read %d elements — run supported by this file\n" s.Runtime.reads
+  | None, Some _ ->
+    Printf.printf "read %d elements: %d local, %d served on a miss (%d bytes), %d degraded\n"
+      s.Runtime.reads
+      (s.Runtime.reads - s.Runtime.misses)
+      s.Runtime.store_fetches s.Runtime.store_bytes s.Runtime.degraded_reads);
   let store_fields =
     match store with
     | None -> []
@@ -384,11 +411,12 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
       print_client "remote" cs;
       client_fields "remote_" cs
   in
-  Printf.printf "value checksum: %016Lx\n" !csum;
-  if s.Runtime.degraded_reads > 0 then
-    Printf.printf "run completed with degraded reads — %d offsets unavailable locally and remotely\n"
-      s.Runtime.degraded_reads
-  else Printf.printf "run fully served\n";
+  if Option.is_none missing then Printf.printf "value checksum: %016Lx\n" !csum;
+  if Option.is_some source then
+    if s.Runtime.degraded_reads > 0 then
+      Printf.printf "run completed with degraded reads — %d offsets unavailable locally and remotely\n"
+        s.Runtime.degraded_reads
+    else Printf.printf "run fully served\n";
   (match stats_json with
   | None -> ()
   | Some file ->
@@ -400,8 +428,7 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
     output_char oc '\n';
     close_out oc;
     Printf.printf "stats written to %s\n" file);
-  Runtime.shutdown rt;
-  List.iter (fun (c, _) -> Kondo_store.Client.close c) (List.filter_map Fun.id [ store; remote ])
+  Option.is_none missing
 
 let run_cmd =
   let run name n m params path remote retries deadline_ms fault_plan remote_store
@@ -413,30 +440,13 @@ let run_cmd =
       exit 2
     end;
     let plan = parse_fault_plan fault_plan in
-    with_obs ~trace ~metrics @@ fun () ->
-    match (remote, remote_store) with
-    | (Some _, _ | _, Some _) ->
-      run_with_runtime p v ~path ~src:remote ~remote_store ~store_name ~store_cache
-        ~retries ~deadline_ms ~plan ~stats_json
-    | None, None ->
-      let f = open_kh5 path in
-      (try
-         let elems = ref 0 in
-         let csum = ref checksum_empty in
-         Program.iter_access p v (fun idx ->
-             let value = Kondo_h5.File.read_element f p.Program.dataset idx in
-             incr elems;
-             csum := checksum_add !csum value);
-         Printf.printf "read %d elements — run supported by this file\n" !elems;
-         Printf.printf "value checksum: %016Lx\n" !csum
-       with Kondo_h5.File.Data_missing miss ->
-         Printf.printf "DATA MISSING at index (%s), byte offset %d — not containerized for this valuation\n"
-           (String.concat ","
-              (Array.to_list (Array.map string_of_int miss.Kondo_h5.File.index)))
-           miss.Kondo_h5.File.offset;
-         Kondo_h5.File.close f;
-         exit 1);
-      Kondo_h5.File.close f
+    let complete =
+      with_obs ~trace ~metrics (fun () ->
+          run_with_runtime p v ~path ~src:remote ~remote_store ~store_name ~store_cache
+            ~retries ~deadline_ms ~plan ~stats_json)
+    in
+    (* only now: the metrics, trace and stats files are written *)
+    if not complete then exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a program against a KH5 file (original or debloated).")

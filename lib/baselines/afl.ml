@@ -43,7 +43,7 @@ let interesting_bytes = [ 0; 1; 0x7F; 0x80; 0xFF; 16; 32; 64 ]
 exception Out_of_budget
 
 let run ?(seed = 1) ?time_budget ?max_execs p =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Kondo_obs.Clock.(now real) in
   let rng = Rng.create seed in
   let m = Program.arity p in
   let input_len = field_width * m in
@@ -55,7 +55,7 @@ let run ?(seed = 1) ?time_budget ?max_execs p =
   let check_budget () =
     (match max_execs with Some m when !executions >= m -> raise Out_of_budget | _ -> ());
     match time_budget with
-    | Some budget when !executions land 15 = 0 && Unix.gettimeofday () -. t0 > budget ->
+    | Some budget when !executions land 15 = 0 && Kondo_obs.Clock.(now real) -. t0 > budget ->
       raise Out_of_budget
     | _ -> ()
   in
@@ -157,4 +157,4 @@ let run ?(seed = 1) ?time_budget ?max_execs p =
     executions = !executions;
     queue_entries = Array.length !queue;
     coverage_edges = Hashtbl.length coverage;
-    elapsed = Unix.gettimeofday () -. t0 }
+    elapsed = Kondo_obs.Clock.(now real) -. t0 }

@@ -6,7 +6,7 @@ type result = { indices : Index_set.t; evaluations : int; exhausted : bool; elap
 exception Out_of_budget
 
 let run ?time_budget ?max_evals p =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Kondo_obs.Clock.(now real) in
   let indices = Index_set.create p.Program.shape in
   let evaluations = ref 0 in
   let exhausted = ref true in
@@ -18,11 +18,11 @@ let run ?time_budget ?max_evals p =
            raise Out_of_budget
          | _ -> ());
          (match time_budget with
-         | Some budget when !evaluations land 63 = 0 && Unix.gettimeofday () -. t0 > budget ->
+         | Some budget when !evaluations land 63 = 0 && Kondo_obs.Clock.(now real) -. t0 > budget ->
            exhausted := false;
            raise Out_of_budget
          | _ -> ());
          incr evaluations;
          List.iter (fun slab -> Index_set.add_slab indices slab) (p.Program.plan v))
    with Out_of_budget -> ());
-  { indices; evaluations = !evaluations; exhausted = !exhausted; elapsed = Unix.gettimeofday () -. t0 }
+  { indices; evaluations = !evaluations; exhausted = !exhausted; elapsed = Kondo_obs.Clock.(now real) -. t0 }

@@ -10,7 +10,7 @@ type result = {
 }
 
 let run ~config ?afl_budget p =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Kondo_obs.Clock.(now real) in
   let kondo = Pipeline.approximate ~config p in
   let budget =
     Option.value afl_budget ~default:(4 * kondo.Pipeline.fuzz.Schedule.evaluations)
@@ -29,4 +29,4 @@ let run ~config ?afl_budget p =
       approx
     end
   in
-  { kondo; afl_extra; approx; elapsed = Unix.gettimeofday () -. t0 }
+  { kondo; afl_extra; approx; elapsed = Kondo_obs.Clock.(now real) -. t0 }

@@ -47,10 +47,8 @@ let counters () =
     fetched_blocks =
       c "kondo_runtime_fetched_blocks_total" "Blocks fetched from the store source into an overlay" }
 
-let fetch_seconds =
-  Registry.histogram
-    ~help:"Latency of fetching one block from the store source (overlay hits are not timed)"
-    Registry.default "kondo_runtime_fetch_seconds"
+(* One block fetch from the store source; overlay hits are not spans. *)
+let fetch_section = Kondo_obs.Obs.section ~cat:"runtime" "runtime.fetch"
 
 let block_size = 4096
 
@@ -88,14 +86,16 @@ type t = {
        on, and a hit neither scans, compares text nor writes [t] *)
 }
 
-let boot ?tracer ?store ~image ~dir () =
+let of_files ?tracer ?store files =
   let mounts =
     List.map
       (fun (dst, path) ->
         { dst; local = Kfile.open_file ?tracer path; overlays = Hashtbl.create 2 })
-      (Image.materialize image ~dir)
+      files
   in
   { mounts; store; n = counters (); last = None; last_dst = "" }
+
+let boot ?tracer ?store ~image ~dir () = of_files ?tracer ?store (Image.materialize image ~dir)
 
 let mount t dst =
   match t.last with
@@ -137,23 +137,18 @@ let block t m ~dataset o b s =
   | None ->
     let offset = b * block_size in
     let length = min block_size (o.section - offset) in
-    let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
-    let r =
-      match s.store_fetch ~dst:m.dst ~dataset ~offset ~length with
-      | Ok blk when Bytes.length blk = length ->
-        Hashtbl.add o.blocks b blk;
-        Registry.inc t.n.fetched_blocks;
-        Ok blk
-      | Ok blk ->
-        Error
-          (Fault.Corrupt
-             (Printf.sprintf "store %s returned %d bytes, wanted %d" s.source_name
-                (Bytes.length blk) length))
-      | Error e -> Error e
-    in
-    Registry.observe fetch_seconds
-      (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
-    r
+    Kondo_obs.Obs.span fetch_section (fun () ->
+        match s.store_fetch ~dst:m.dst ~dataset ~offset ~length with
+        | Ok blk when Bytes.length blk = length ->
+          Hashtbl.add o.blocks b blk;
+          Registry.inc t.n.fetched_blocks;
+          Ok blk
+        | Ok blk ->
+          Error
+            (Fault.Corrupt
+               (Printf.sprintf "store %s returned %d bytes, wanted %d" s.source_name
+                  (Bytes.length blk) length))
+        | Error e -> Error e)
 
 (* Serve a miss from the block that holds its offset.  Every element size
    divides [block_size] and element offsets are multiples of the element

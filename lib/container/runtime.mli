@@ -81,6 +81,11 @@ val boot : ?tracer:Tracer.t -> ?store:store_source -> image:Image.t -> dir:strin
     [store] serves misses; without it a miss raises the data-missing
     exception.  [tracer] audits the container's reads. *)
 
+val of_files :
+  ?tracer:Tracer.t -> ?store:store_source -> (string * string) list -> t
+(** {!boot} over data files already on disk: open each [(dst, path)]
+    in place, mounted at [dst], with nothing copied. *)
+
 val read_element : t -> dst:string -> dataset:string -> int array -> float
 (** @raise Kondo_h5.File.Data_missing when the offset was carved away
     and no store source is plugged in.

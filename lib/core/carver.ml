@@ -32,6 +32,10 @@ module Carve_obs = struct
   let raster_contains =
     Registry.counter ~help:"Hull containment tests made by rasterize" Registry.default
       "kondo_rasterize_contains_total"
+
+  let points_section = Obs.section ~cat:"carve" "carve.points"
+  let cells_section = Obs.section ~cat:"carve" "carve.cells"
+  let merge_section = Obs.section ~cat:"carve" "carve.merge"
 end
 
 let close ~config h1 h2 =
@@ -151,7 +155,7 @@ let carve_points ~config ~dims points =
     let config = cfg in
     let cell = Config.auto_cell_size cfg dims in
     let hulls =
-      Kondo_obs.Obs.span "carve.cells" ~cat:"carve"
+      Kondo_obs.Obs.span Carve_obs.cells_section
         ~result_args:(fun hulls -> [ ("cells", string_of_int (List.length hulls)) ])
         (fun () ->
           let cells = split_cells ~cell ~cap:cfg.Config.max_cell_points points in
@@ -163,7 +167,7 @@ let carve_points ~config ~dims points =
     in
     let initial_cells = List.length hulls in
     let merged, merge_rounds, merges =
-      Kondo_obs.Obs.span "carve.merge" ~cat:"carve"
+      Kondo_obs.Obs.span Carve_obs.merge_section
         ~args:[ ("cells", string_of_int initial_cells) ]
         ~result_args:(fun (merged, sweeps, merges) ->
           [ ("hulls", string_of_int (List.length merged));
@@ -184,7 +188,7 @@ let carve_points ~config ~dims points =
 
 let carve ~config is =
   let points =
-    Kondo_obs.Obs.span "carve.points" ~cat:"carve"
+    Kondo_obs.Obs.span Carve_obs.points_section
       ~args:[ ("points", string_of_int (Index_set.cardinal is)) ]
       (fun () ->
         let points = ref [] in

@@ -11,22 +11,31 @@ type report = {
   elapsed : float;
 }
 
-(* Every pipeline step is an ambient span: free when no tracer is
-   installed, and under [--trace] the steps of a debloat cover it. *)
-let span ?args ?result_args name f = Kondo_obs.Obs.span ~cat:"pipeline" ?args ?result_args name f
+(* Every pipeline step is a span: each counts in [kondo_span_seconds],
+   and under [--trace] the steps of a debloat cover it. *)
+let section name = Kondo_obs.Obs.section ~cat:"pipeline" name
+let span = Kondo_obs.Obs.span
+let approximate_section = section "pipeline.approximate"
+let rasterize_section = section "pipeline.rasterize"
+let keep_intervals_section = section "pipeline.keep_intervals"
+let write_section = section "pipeline.write"
+let debloat_file_section = section "pipeline.debloat_file"
+let debloat_file_many_section = section "pipeline.debloat_file_many"
+let debloat_image_section = section "pipeline.debloat_image"
+let stage_section = section "pipeline.stage"
 
 let approximate ~config p =
-  span "pipeline.approximate"
+  span approximate_section
     ~args:[ ("program", p.Program.name) ]
     ~result_args:(fun r ->
       [ ("approx_indices", string_of_int (Index_set.cardinal r.approx));
         ("hulls", string_of_int (List.length r.carve.Carver.hulls)) ])
     (fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Kondo_obs.Clock.(now real) in
       let fuzz = Schedule.run ~config p in
       let carve = Carver.carve ~config fuzz.Schedule.indices in
       let approx =
-        span "pipeline.rasterize"
+        span rasterize_section
           ~result_args:(fun a -> [ ("approx_indices", string_of_int (Index_set.cardinal a)) ])
           (fun () ->
             let approx = Carver.rasterize p.Program.shape carve.Carver.hulls in
@@ -41,7 +50,7 @@ let approximate ~config p =
         carve;
         approx;
         accuracy = None;
-        elapsed = Unix.gettimeofday () -. t0 })
+        elapsed = Kondo_obs.Clock.(now real) -. t0 })
 
 let evaluate ~config p =
   let r = approximate ~config p in
@@ -49,7 +58,7 @@ let evaluate ~config p =
   { r with accuracy = Some (Metrics.accuracy ~truth ~approx:r.approx) }
 
 let keep_intervals p approx ~layout =
-  span "pipeline.keep_intervals"
+  span keep_intervals_section
     ~args:[ ("program", p.Program.name) ]
     ~result_args:(fun k -> [ ("intervals", string_of_int (Interval_set.cardinal k)) ])
     (fun () ->
@@ -63,7 +72,7 @@ let keep_intervals p approx ~layout =
       Interval_set.of_sorted (List.map (fun off -> Interval.make off (off + esz)) sorted))
 
 let write_debloated dst ~source ~keep =
-  span "pipeline.write"
+  span write_section
     ~result_args:(fun () -> [ ("bytes", string_of_int (Unix.stat dst).Unix.st_size) ])
     (fun () -> Kondo_h5.Writer.write_debloated dst ~source ~keep)
 
@@ -81,7 +90,7 @@ let write_one p approx ~src ~dst =
           if String.equal name p.Program.dataset then keep_set else Interval_set.empty))
 
 let debloat_file ~config p ~src ~dst =
-  span "pipeline.debloat_file"
+  span debloat_file_section
     ~args:[ ("program", p.Program.name) ]
     (fun () ->
       let report = approximate ~config p in
@@ -89,7 +98,7 @@ let debloat_file ~config p ~src ~dst =
       report)
 
 let debloat_file_many ~config programs ~src ~dst =
-  span "pipeline.debloat_file_many"
+  span debloat_file_many_section
     ~args:[ ("programs", string_of_int (List.length programs)) ]
     (fun () ->
       (* One level of parallelism only: with several programs the fan-out
@@ -122,7 +131,7 @@ let debloat_file_many ~config programs ~src ~dst =
       List.map (fun (p, report) -> (p.Program.name, report)) reports)
 
 let debloat_image ~config p ~image ~dst =
-  span "pipeline.debloat_image"
+  span debloat_image_section
     ~args:[ ("program", p.Program.name) ]
     (fun () ->
       let report = approximate ~config p in
@@ -136,12 +145,12 @@ let debloat_image ~config p ~image ~dst =
             (try Sys.remove tmp_src with Sys_error _ -> ());
             try Sys.remove tmp_dst with Sys_error _ -> ())
           (fun () ->
-            span "pipeline.stage" (fun () ->
+            span stage_section (fun () ->
                 let oc = open_out_bin tmp_src in
                 output_bytes oc content;
                 close_out oc);
             write_one p report.approx ~src:tmp_src ~dst:tmp_dst;
-            span "pipeline.stage" (fun () ->
+            span stage_section (fun () ->
                 let ic = open_in_bin tmp_dst in
                 let len = in_channel_length ic in
                 let debloated = Bytes.create len in

@@ -42,6 +42,9 @@ module Sched_obs = struct
   let stagnation_stops =
     Registry.counter ~help:"Runs stopped by the stagnation rule" Registry.default
       "kondo_schedule_stagnation_stops_total"
+
+  let run_section = Obs.section ~cat:"schedule" "schedule.run"
+  let round_section = Obs.section ~cat:"schedule" "schedule.round"
 end
 
 type outcome = { iter : int; params : float array; useful : bool; new_offsets : int }
@@ -93,7 +96,9 @@ let greedy_frame rng space v center dist_to_center (dlo, dhi) diameter =
          x +. (dir /. len *. frame *. toward) +. Rng.float_in rng (-.frame /. 2.0) (frame /. 2.0))
        v)
 
-let run_with_eval ~config p ~eval =
+(* One schedule run: its result, and the end attributes of its
+   [schedule.run] span. *)
+let fuzz ~config p ~eval =
   let cfg : Config.t = config in
   (* Frames and the cluster diameter track the parameter-space extent
      (Config.autoscale): the Fig. 5 distances are tuned for extent 128. *)
@@ -125,20 +130,7 @@ let run_with_eval ~config p ~eval =
   let restarts = ref 0 in
   let ee_moves = ref 0 in
   let boundary_moves = ref 0 in
-  let span =
-    match Kondo_obs.Obs.tracer () with
-    | None -> None
-    | Some tr ->
-      Some
-        ( tr,
-          Kondo_obs.Trace.begin_span tr ~cat:"schedule"
-            ~args:
-              [ ("program", p.Program.name);
-                ("seed", string_of_int cfg.Config.seed);
-                ("schedule", Config.schedule_name cfg.Config.schedule) ]
-            "schedule.run" )
-  in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Kondo_obs.Clock.(now real) in
   let enqueue v =
     let key = key_of_params v in
     if not (Hashtbl.mem seen key) then begin
@@ -181,7 +173,7 @@ let run_with_eval ~config p ~eval =
      while !itr < cfg.Config.max_iter do
        incr itr;
        (match cfg.Config.time_budget with
-       | Some budget when Unix.gettimeofday () -. t0 > budget ->
+       | Some budget when Kondo_obs.Clock.(now real) -. t0 > budget ->
          stopped := Time_budget;
          raise Exit
        | _ -> ());
@@ -210,29 +202,36 @@ let run_with_eval ~config p ~eval =
   Registry.inc ~by:!ee_moves Sched_obs.ee_moves;
   Registry.inc ~by:!boundary_moves Sched_obs.boundary_moves;
   if !stopped = Stagnation then Registry.inc Sched_obs.stagnation_stops;
-  (match span with
-  | None -> ()
-  | Some (tr, s) ->
-    Trace.end_span tr
+  ( { indices = is;
+      trace = List.rev !trace;
+      iterations = !itr;
+      evaluations = !evaluations;
+      useful_count = !useful_count;
+      stopped = !stopped;
+      elapsed = Kondo_obs.Clock.(now real) -. t0 },
+    fun () ->
+      [ ("iterations", string_of_int !itr);
+        ("evaluations", string_of_int !evaluations);
+        ("useful", string_of_int !useful_count);
+        ("non_useful", string_of_int (!evaluations - !useful_count));
+        ("ee_moves", string_of_int !ee_moves);
+        ("boundary_moves", string_of_int !boundary_moves);
+        ("restarts", string_of_int !restarts);
+        ("epsilon", Printf.sprintf "%.4f" !epsilon);
+        ("stagnation", string_of_int !new_itr);
+        ("stopped", stop_name !stopped) ] )
+
+let run_with_eval ~config p ~eval =
+  let result, _ =
+    Kondo_obs.Obs.span Sched_obs.run_section
       ~args:
-        [ ("iterations", string_of_int !itr);
-          ("evaluations", string_of_int !evaluations);
-          ("useful", string_of_int !useful_count);
-          ("non_useful", string_of_int (!evaluations - !useful_count));
-          ("ee_moves", string_of_int !ee_moves);
-          ("boundary_moves", string_of_int !boundary_moves);
-          ("restarts", string_of_int !restarts);
-          ("epsilon", Printf.sprintf "%.4f" !epsilon);
-          ("stagnation", string_of_int !new_itr);
-          ("stopped", stop_name !stopped) ]
-      s);
-  { indices = is;
-    trace = List.rev !trace;
-    iterations = !itr;
-    evaluations = !evaluations;
-    useful_count = !useful_count;
-    stopped = !stopped;
-    elapsed = Unix.gettimeofday () -. t0 }
+        [ ("program", p.Program.name);
+          ("seed", string_of_int config.Config.seed);
+          ("schedule", Config.schedule_name config.Config.schedule) ]
+      ~result_args:(fun (_, end_args) -> end_args ())
+      (fun () -> fuzz ~config p ~eval)
+  in
+  result
 
 (* Debloat-test evaluator that memoizes access plans: distinct parameter
    values frequently share a plan (e.g. ARD's redundant temporal
@@ -269,7 +268,7 @@ let run_rounds ~config p ~first_round ~rounds =
     ~map:(fun i ->
       let round = first_round + i in
       let seed = round_seed ~base:config.Config.seed round in
-      Kondo_obs.Obs.span "schedule.round" ~cat:"schedule"
+      Kondo_obs.Obs.span Sched_obs.round_section
         ~args:[ ("round", string_of_int round); ("seed", string_of_int seed) ]
         ~result_args:(fun indices ->
           [ ("discovered_indices", string_of_int (Index_set.cardinal indices)) ])

@@ -1,7 +1,7 @@
 (** Wall-clock abstraction for every timed observation.
 
     Instrumentation reads time through a [Clock.t] instead of calling
-    [Unix.gettimeofday] directly, so tests and CI byte-identity checks
+    the system clock directly, so tests and CI byte-identity checks
     can substitute a {e virtual} clock: a deterministic counter that
     starts at [start] and advances by [step] on every read.  Two virtual
     clocks with the same parameters produce the same timestamp sequence
@@ -10,7 +10,7 @@
 type t
 
 val real : t
-(** Reads [Unix.gettimeofday]; {!advance} is a no-op. *)
+(** The system's wall clock; {!advance} is a no-op. *)
 
 val virtual_ : ?start:float -> ?step:float -> unit -> t
 (** A deterministic clock.  Every {!now} returns the current value and

@@ -1,28 +1,41 @@
-(** The ambient observability facade.
+(** The ambient observability facade: the one way instrumented code
+    times a section.
 
-    Instrumented code paths register their instruments in
-    {!Registry.default} (always on — counters are a couple of atomic
-    adds) and emit spans through the {e ambient tracer}, which is [None]
-    until something installs one ({!set_tracer}); with no tracer
-    installed {!span} runs its thunk directly, so tracing costs nothing
-    when off.  The CLI installs a tracer for the duration of a command
-    when [--trace FILE] is given and exports it on the way out. *)
+    Each timed section is a {!section}, made once at module
+    initialisation, which owns the section's series of the
+    [kondo_span_seconds{span="<name>"}] histogram in
+    {!Registry.default}.  {!span} observes every run of the section into
+    that series, so a metrics dump or a live scrape carries per-layer
+    time whether or not a tracer is installed.  When the CLI's
+    [--trace FILE] installs an {e ambient tracer} ({!set_tracer}), the
+    section is also recorded as a trace span, and the histogram
+    observes the very duration the trace records.  Either way a span
+    costs two clock reads and one histogram observation. *)
 
 val set_tracer : Trace.t option -> unit
 val tracer : unit -> Trace.t option
-val enabled : unit -> bool
-(** Is a tracer currently installed? *)
+
+type section
+(** A named section: its span name, its trace category and its
+    histogram series. *)
+
+val section : ?cat:string -> string -> section
+(** [section ?cat name] registers [name]'s [kondo_span_seconds] series
+    ([cat] defaults to ["kondo"]).  Make each section once, as a
+    module-level value, so no worker domain ever registers a series and
+    a span does no registry lookup. *)
 
 val span :
-  ?cat:string ->
   ?args:(string * string) list ->
   ?result_args:('a -> (string * string) list) ->
-  string ->
+  section ->
   (unit -> 'a) ->
   'a
-(** Run a thunk inside an ambient span (or run it bare when no tracer is
-    installed).  [result_args] computes end-time attributes from the
-    result; an escaping exception ends the span with an ["error"]
-    attribute and re-raises. *)
+(** Run a thunk as one span of the section and observe its duration.
+    Untraced, the duration is read from {!Clock.real}; traced, from the
+    tracer's clock, and [args] and [result_args] (computed from the
+    result, only when traced) become the trace event's attributes.  An
+    escaping exception still counts; a traced span then ends with an
+    ["error"] attribute.  The exception is re-raised. *)
 
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit

@@ -4,8 +4,6 @@
    every instance. *)
 type counter = { cell : int Atomic.t; link : int Atomic.t option }
 
-type gauge = { g_cell : float Atomic.t }
-
 type histogram = {
   bounds : float array; (* strictly increasing upper bounds, no +Inf *)
   h_lock : Mutex.t; (* guards the three fields below *)
@@ -16,11 +14,10 @@ type histogram = {
 
 type instrument =
   | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
 
 (* One metric name: its help and its series, keyed by rendered label set
-   ([""] for the unlabelled series; only counters take labels). *)
+   ([""] for the unlabelled series). *)
 type entry = { help : string; mutable series : (string * instrument) list }
 
 type t = { lock : Mutex.t; tbl : (string, entry) Hashtbl.t }
@@ -35,7 +32,6 @@ let locked t f =
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
 (* [k="v",...] sorted by label name: the series key and its exposition.
@@ -95,26 +91,16 @@ let inc ?(by = 1) c =
 
 let counter_value c = Atomic.get c.cell
 
-let gauge ?(help = "") t name =
-  register t name ~help
-    ~make:(fun () ->
-      let g = { g_cell = Atomic.make 0.0 } in
-      (g, Gauge g))
-    ~select:(function Gauge g -> Some g | _ -> None)
-
-let set_gauge g v = Atomic.set g.g_cell v
-let gauge_value g = Atomic.get g.g_cell
-
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
 
-let histogram ?(help = "") ?(buckets = default_buckets) t name =
+let histogram ?(help = "") ?(buckets = default_buckets) ?labels t name =
   if Array.length buckets = 0 then invalid_arg "Registry.histogram: no buckets";
   Array.iteri
     (fun i b -> if i > 0 && b <= buckets.(i - 1) then
         invalid_arg "Registry.histogram: buckets must be strictly increasing")
     buckets;
-  register t name ~help
+  register ?labels t name ~help
     ~make:(fun () ->
       let h =
         { bounds = Array.copy buckets;
@@ -177,6 +163,10 @@ let le_string b = if b = infinity then "+Inf" else Jsonw.number b
 (* [name{labels}], or the bare name for the unlabelled series. *)
 let series_name name key = if key = "" then name else name ^ "{" ^ key ^ "}"
 
+(* A histogram's bucket labels: the series' own, then [le]. *)
+let bucket_labels key bound =
+  (if key = "" then "" else key ^ ",") ^ "le=\"" ^ le_string bound ^ "\""
+
 let expose t =
   let b = Buffer.create 1024 in
   let line fmt = Printf.bprintf b fmt in
@@ -188,28 +178,25 @@ let expose t =
         if help <> "" then line "# HELP %s %s\n" name help;
         line "# TYPE %s %s\n" name (kind_name instr)
       end;
-      let sname = series_name name key in
       match instr with
-      | Counter c -> line "%s %d\n" sname (counter_value c)
-      | Gauge g -> line "%s %s\n" sname (Jsonw.number (gauge_value g))
+      | Counter c -> line "%s %d\n" (series_name name key) (counter_value c)
       | Histogram h ->
         let buckets, sum, count = histogram_snapshot h in
         List.iter
-          (fun (bound, cum) -> line "%s_bucket{le=\"%s\"} %d\n" name (le_string bound) cum)
+          (fun (bound, cum) -> line "%s_bucket{%s} %d\n" name (bucket_labels key bound) cum)
           buckets;
-        line "%s_sum %s\n" name (Jsonw.number sum);
-        line "%s_count %d\n" name count)
+        line "%s %s\n" (series_name (name ^ "_sum") key) (Jsonw.number sum);
+        line "%s %d\n" (series_name (name ^ "_count") key) count)
     (sorted_series t);
   Buffer.contents b
 
 let to_json t =
-  let counters = ref [] and gauges = ref [] and histograms = ref [] in
+  let counters = ref [] and histograms = ref [] in
   List.iter
     (fun (name, _, key, instr) ->
       let name = series_name name key in
       match instr with
       | Counter c -> counters := (name, string_of_int (counter_value c)) :: !counters
-      | Gauge g -> gauges := (name, Jsonw.number (gauge_value g)) :: !gauges
       | Histogram h ->
         let buckets, sum, count = histogram_snapshot h in
         let buckets =
@@ -230,7 +217,6 @@ let to_json t =
     (sorted_series t);
   Jsonw.obj
     [ ("counters", Jsonw.obj (List.rev !counters));
-      ("gauges", Jsonw.obj (List.rev !gauges));
       ("histograms", Jsonw.obj (List.rev !histograms)) ]
 
 let reset t =
@@ -238,7 +224,6 @@ let reset t =
     (fun (_, _, _, instr) ->
       match instr with
       | Counter c -> Atomic.set c.cell 0
-      | Gauge g -> Atomic.set g.g_cell 0.0
       | Histogram h ->
         Mutex.lock h.h_lock;
         Array.fill h.h_counts 0 (Array.length h.h_counts) 0;

@@ -1,5 +1,5 @@
-(** The metrics registry: named counters, gauges, and fixed-bucket
-    histograms, safe to update concurrently from any domain.
+(** The metrics registry: named counters and fixed-bucket histograms,
+    safe to update concurrently from any domain.
 
     A counter series is one atomic cell; a histogram is one bucket
     array under its own mutex, so a snapshot ({!expose}, {!to_json}, or
@@ -11,16 +11,17 @@
     coordination.  Registering a name as two different kinds is an
     error.
 
-    A counter name may carry several {e labelled series}, one per label
-    set.  An object that counts its own events (a runtime, a store
+    A name may carry several {e labelled series}, one per label set.
+    An object that counts its own events (a runtime, a store
     client, a cache, a breaker) holds {e instance counters}: one cell
     each, linked to a series, so one increment is both the object's own
     count and part of the series total a scrape reports.
 
     Exposition is Prometheus-style text ([# HELP] / [# TYPE] /
     [name value] or [name{k="v"} value], histograms as
-    [_bucket{le="..."}]/[_sum]/[_count]) sorted by name and then label
-    set, so output for a given set of values is byte-stable. *)
+    [_bucket{k="v",le="..."}]/[_sum{k="v"}]/[_count{k="v"}]) sorted by
+    name and then label set, so output for a given set of values is
+    byte-stable. *)
 
 type t
 
@@ -54,14 +55,6 @@ val inc : ?by:int -> counter -> unit
 
 val counter_value : counter -> int
 
-(** {1 Gauges} — a float that can move both ways; last write wins. *)
-
-type gauge
-
-val gauge : ?help:string -> t -> string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-
 (** {1 Histograms} — fixed upper-bound buckets plus sum and count. *)
 
 type histogram
@@ -69,9 +62,13 @@ type histogram
 val default_buckets : float array
 (** Latency-in-seconds buckets: 1µs … 10s, decades. *)
 
-val histogram : ?help:string -> ?buckets:float array -> t -> string -> histogram
-(** [buckets] are strictly increasing upper bounds; an implicit [+Inf]
-    bucket is always appended.  Default {!default_buckets}.
+val histogram :
+  ?help:string -> ?buckets:float array -> ?labels:(string * string) list -> t -> string ->
+  histogram
+(** The series of [name] with [labels] (default none), as for
+    {!counter}.  [buckets] are strictly increasing upper bounds; an
+    implicit [+Inf] bucket is always appended.  Default
+    {!default_buckets}.
     @raise Invalid_argument on empty or non-increasing buckets. *)
 
 val observe : histogram -> float -> unit
@@ -89,7 +86,7 @@ val expose : t -> string
 
 val to_json : t -> string
 (** A one-line JSON snapshot:
-    [{"counters":{...},"gauges":{...},"histograms":{...}}], keys
+    [{"counters":{...},"histograms":{...}}], keys
     sorted; a labelled series' key is its exposition name
     [name{k="v"}]. *)
 

@@ -5,7 +5,7 @@ type event = {
   ev_cat : string;
   ph : phase;
   ts_us : float;
-  dur_us : float;
+  dur_s : float;
   tid : int;
   ev_args : (string * string) list;
   seq : int; (* recording order, the sort tiebreak *)
@@ -47,17 +47,20 @@ let begin_span t ?(cat = "kondo") ?(args = []) name =
     s_t0 = Clock.now t.t_clock;
     s_tid = (Domain.self () :> int) }
 
-let end_span t ?(args = []) s =
-  let t1 = Clock.now t.t_clock in
+let finish t ?(args = []) s =
+  let dur = Float.max 0.0 (Clock.now t.t_clock -. s.s_t0) in
   record t
     { ev_name = s.s_name;
       ev_cat = s.s_cat;
       ph = Complete;
       ts_us = us s.s_t0;
-      dur_us = us (Float.max 0.0 (t1 -. s.s_t0));
+      dur_s = dur;
       tid = s.s_tid;
       ev_args = s.s_args @ args;
-      seq = 0 }
+      seq = 0 };
+  dur
+
+let end_span t ?args s = ignore (finish t ?args s)
 
 let with_span t ?cat ?args name f =
   let s = begin_span t ?cat ?args name in
@@ -75,7 +78,7 @@ let instant t ?(cat = "kondo") ?(args = []) name =
       ev_cat = cat;
       ph = Instant;
       ts_us = us (Clock.now t.t_clock);
-      dur_us = 0.0;
+      dur_s = 0.0;
       tid = (Domain.self () :> int);
       ev_args = args;
       seq = 0 }
@@ -87,7 +90,7 @@ let span_totals t =
     (fun ev ->
       if ev.ph = Complete then begin
         let s, n = Option.value ~default:(0.0, 0) (Hashtbl.find_opt tbl ev.ev_name) in
-        Hashtbl.replace tbl ev.ev_name (s +. (ev.dur_us /. 1e6), n + 1)
+        Hashtbl.replace tbl ev.ev_name (s +. ev.dur_s, n + 1)
       end)
     t.events;
   Mutex.unlock t.lock;
@@ -127,7 +130,7 @@ let event_json ev =
       ("pid", "0");
       ("tid", string_of_int ev.tid) ]
   in
-  let dur = match ev.ph with Complete -> [ ("dur", us_json ev.dur_us) ] | Instant -> [] in
+  let dur = match ev.ph with Complete -> [ ("dur", us_json (us ev.dur_s)) ] | Instant -> [] in
   let scope = match ev.ph with Instant -> [ ("s", Jsonw.str "t") ] | Complete -> [] in
   let args =
     match ev.ev_args with
@@ -138,41 +141,3 @@ let event_json ev =
 
 let to_chrome_json t =
   Jsonw.obj [ ("traceEvents", Jsonw.arr (List.map event_json (sorted_events t))) ]
-
-let args_suffix = function
-  | [] -> ""
-  | kvs -> " (" ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs) ^ ")"
-
-let to_text_tree t =
-  let evs = sorted_events t in
-  let tids = List.sort_uniq compare (List.map (fun e -> e.tid) evs) in
-  let b = Buffer.create 512 in
-  List.iter
-    (fun tid ->
-      Buffer.add_string b (Printf.sprintf "[tid %d]\n" tid);
-      (* stack of end timestamps of the open ancestors *)
-      let stack = ref [] in
-      List.iter
-        (fun ev ->
-          if ev.tid = tid then begin
-            while
-              match !stack with
-              | [] -> false
-              | end_ts :: _ -> ev.ts_us >= end_ts
-            do
-              stack := List.tl !stack
-            done;
-            let indent = String.make (2 * (1 + List.length !stack)) ' ' in
-            (match ev.ph with
-            | Complete ->
-              Buffer.add_string b
-                (Printf.sprintf "%s%s %sus%s\n" indent ev.ev_name (Jsonw.number ev.dur_us)
-                   (args_suffix ev.ev_args));
-              stack := (ev.ts_us +. ev.dur_us) :: !stack
-            | Instant ->
-              Buffer.add_string b
-                (Printf.sprintf "%s@%s%s\n" indent ev.ev_name (args_suffix ev.ev_args)))
-          end)
-        evs)
-    tids;
-  Buffer.contents b

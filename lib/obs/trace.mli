@@ -1,7 +1,7 @@
 (** The span tracer: nested begin/end spans with string attributes,
     recorded per completed span and exportable as Chrome [trace_event]
     JSON — loadable in [chrome://tracing] or {{:https://ui.perfetto.dev}
-    Perfetto} — or as a compact indented text tree.
+    Perfetto}.
 
     Spans are cheap: {!begin_span} only reads the clock; the event is
     recorded (one mutex-protected append) at {!end_span}.  Any domain
@@ -22,6 +22,10 @@ val begin_span : t -> ?cat:string -> ?args:(string * string) list -> string -> s
 val end_span : t -> ?args:(string * string) list -> span -> unit
 (** End-time [args] are appended to the begin-time ones. *)
 
+val finish : t -> ?args:(string * string) list -> span -> float
+(** {!end_span}, returning the recorded duration in seconds: the one
+    value both the trace and {!span_totals} hold for this span. *)
+
 val with_span :
   t -> ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Runs the thunk inside a span; the span ends even on an exception
@@ -40,7 +44,3 @@ val to_chrome_json : t -> string
 (** [{"traceEvents":[...]}] — completed spans as ["ph":"X"] events with
     microsecond [ts]/[dur], instants as ["ph":"i"]; events sorted by
     timestamp then domain then recording order. *)
-
-val to_text_tree : t -> string
-(** One block per domain id; spans indented by nesting (reconstructed
-    from timestamp containment), each line [name dur_us (k=v, ...)]. *)

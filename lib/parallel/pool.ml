@@ -28,6 +28,8 @@ let m_wait =
     ~help:"Seconds between fan-out start and task pick-up"
     Kondo_obs.Registry.default "kondo_pool_task_wait_seconds"
 
+let fan_out_section = Kondo_obs.Obs.section "pool.fan_out"
+
 let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   { jobs = min jobs max_jobs; busy = Atomic.make false }
@@ -48,7 +50,7 @@ let run_tasks t n f =
     try Ok (f i) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
   let results = Array.make n None in
-  Kondo_obs.Obs.span "pool.fan_out"
+  Kondo_obs.Obs.span fan_out_section
     ~args:[ ("tasks", string_of_int n); ("jobs", string_of_int t.jobs) ]
     (fun () ->
       if t.jobs = 1 || n <= 1 then

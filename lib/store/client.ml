@@ -46,9 +46,7 @@ let counters () =
     retries = c "kondo_store_client_retries_total" "Exchange retries";
     cache_hits = c "kondo_store_client_cache_hits_total" "Chunks served from the local cache" }
 
-let request_seconds =
-  Registry.histogram ~help:"Breaker-gated exchange latency (including retries)"
-    Registry.default "kondo_store_client_request_seconds"
+let exchange_section = Kondo_obs.Obs.section ~cat:"store" "client.exchange"
 
 let batch_size =
   Registry.histogram ~help:"Chunk ids per BATCH range GET"
@@ -136,15 +134,13 @@ let exchange t req ~check =
   if not (Breaker.allow t.breaker ~now_ms:t.now_ms) then
     Error (Fault.Permanent "store circuit breaker open")
   else begin
-    let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
     let outcome =
-      Retry.run t.retry ~rng:t.rng (fun ~attempt:_ ->
-          match round_once t req with
-          | Error _ as e -> e
-          | Ok resp -> check resp)
+      Kondo_obs.Obs.span exchange_section (fun () ->
+          Retry.run t.retry ~rng:t.rng (fun ~attempt:_ ->
+              match round_once t req with
+              | Error _ as e -> e
+              | Ok resp -> check resp))
     in
-    Registry.observe request_seconds
-      (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
     t.now_ms <- t.now_ms +. outcome.Retry.elapsed_ms +. 1.0;
     Registry.inc ~by:(Retry.retries outcome) t.n.retries;
     (match outcome.Retry.result with

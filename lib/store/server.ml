@@ -1,8 +1,6 @@
 module Kfile = Kondo_h5.File
 
-let request_seconds =
-  Kondo_obs.Registry.histogram ~help:"Store server request handling latency"
-    Kondo_obs.Registry.default "kondo_store_server_request_seconds"
+let handle_section = Kondo_obs.Obs.section ~cat:"store" "server.handle"
 
 let batch_size =
   Kondo_obs.Registry.histogram ~help:"Chunk ids per BATCH request"
@@ -148,20 +146,14 @@ let apply t req =
 
 let handle t body =
   Kondo_obs.Registry.inc t.served;
-  let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
-  let resp =
-    match Proto.decode_request body with
-    | Error msg -> Proto.Err ("bad request: " ^ msg)
-    | Ok req -> (
-      match apply t req with
-      | resp -> resp
-      | exception exn -> Proto.Err ("server error: " ^ Printexc.to_string exn))
-  in
-  let encoded = Proto.encode_response resp in
-  Kondo_obs.Registry.observe
-    request_seconds
-    (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
-  encoded
+  Kondo_obs.Obs.span handle_section (fun () ->
+      Proto.encode_response
+        (match Proto.decode_request body with
+        | Error msg -> Proto.Err ("bad request: " ^ msg)
+        | Ok req -> (
+          match apply t req with
+          | resp -> resp
+          | exception exn -> Proto.Err ("server error: " ^ Printexc.to_string exn))))
 
 (* Answer one connection until its peer closes, sends garbage framing,
    or hangs up before reading a response (a failed write, which the

@@ -1,6 +1,6 @@
 (* Tests for the observability substrate: the metrics registry (golden
    exposition, get-or-create semantics, domain-safety), the virtual
-   clock, the span tracer (golden Chrome JSON and text tree), the STATS
+   clock, the span tracer (golden Chrome JSON), span series, the STATS
    protocol op, and the regression that instrumentation never changes
    debloated outputs. *)
 
@@ -42,15 +42,10 @@ let test_registry_golden_exposition () =
   let r = Registry.create () in
   let c = Registry.counter ~help:"Things counted" r "t_things_total" in
   Registry.inc ~by:3 c;
-  let g = Registry.gauge ~help:"A level" r "t_level" in
-  Registry.set_gauge g 2.5;
   let h = Registry.histogram ~help:"Sizes" ~buckets:[| 1.0; 2.0; 4.0 |] r "t_sizes" in
   List.iter (Registry.observe h) [ 0.5; 1.5; 8.0 ];
   let expected =
-    "# HELP t_level A level\n\
-     # TYPE t_level gauge\n\
-     t_level 2.5\n\
-     # HELP t_sizes Sizes\n\
+    "# HELP t_sizes Sizes\n\
      # TYPE t_sizes histogram\n\
      t_sizes_bucket{le=\"1.0\"} 1\n\
      t_sizes_bucket{le=\"2.0\"} 2\n\
@@ -64,7 +59,7 @@ let test_registry_golden_exposition () =
   in
   Alcotest.(check string) "exposition text" expected (Registry.expose r);
   let expected_json =
-    "{\"counters\":{\"t_things_total\":3},\"gauges\":{\"t_level\":2.5},\"histograms\":\
+    "{\"counters\":{\"t_things_total\":3},\"histograms\":\
      {\"t_sizes\":{\"buckets\":[{\"le\":\"1.0\",\"count\":1},{\"le\":\"2.0\",\"count\":2},\
      {\"le\":\"4.0\",\"count\":2},{\"le\":\"+Inf\",\"count\":3}],\"sum\":10.0,\"count\":3}}}"
   in
@@ -94,7 +89,7 @@ let test_registry_labelled_golden () =
   Alcotest.(check string) "labelled json"
     "{\"counters\":{\"t_hits_total{owner=\\\"client\\\"}\":5,\
      \"t_hits_total{owner=\\\"server\\\"}\":2,\"t_odd_total{a=\\\"q\\\\\\\"x\\\",z=\\\"1\\\"}\":1},\
-     \"gauges\":{},\"histograms\":{}}"
+     \"histograms\":{}}"
     (Registry.to_json r);
   Alcotest.(check (list int)) "instances count their own" [ 2; 1; 4 ]
     (List.map Registry.counter_value [ server; a; b ]);
@@ -102,8 +97,8 @@ let test_registry_labelled_golden () =
   Alcotest.(check int) "reset zeroes the series" 0
     (Registry.counter_value (Registry.counter ~labels:[ ("owner", "client") ] r "t_hits_total"));
   Alcotest.(check int) "instances keep their counts" 4 (Registry.counter_value b);
-  match Registry.gauge r "t_hits_total" with
-  | _ -> Alcotest.fail "a labelled counter name registered as a gauge"
+  match Registry.histogram r "t_hits_total" with
+  | _ -> Alcotest.fail "a labelled counter name registered as a histogram"
   | exception Invalid_argument _ -> ()
 
 let test_registry_get_or_create () =
@@ -115,7 +110,7 @@ let test_registry_get_or_create () =
   Alcotest.(check int) "both handles hit one counter" 3 (Registry.counter_value a);
   Alcotest.(check bool) "help of first registration wins" true
     (contains (Registry.expose r) "# HELP t_shared_total first wins");
-  (match Registry.gauge r "t_shared_total" with
+  (match Registry.histogram r "t_shared_total" with
   | _ -> Alcotest.fail "kind clash accepted"
   | exception Invalid_argument msg ->
     Alcotest.(check bool) "clash names existing kind" true (contains msg "counter"));
@@ -189,11 +184,6 @@ let test_trace_golden_chrome_json () =
   Alcotest.(check (list (triple string (float 1e-9) int))) "span totals"
     [ ("a", 4.0, 1); ("b", 1.0, 1) ] (Trace.span_totals tr)
 
-let test_trace_golden_text_tree () =
-  let tr = golden_trace () in
-  let expected = "[tid 0]\n  a 4000000.0us\n    @mark\n    b 1000000.0us (k=v)\n" in
-  Alcotest.(check string) "text tree" expected (Trace.to_text_tree tr)
-
 let test_trace_span_nesting_order () =
   (* zero-step clock: every event lands at ts 0; the later-recorded span
      (the parent — it ended last) must still precede its children *)
@@ -220,26 +210,71 @@ let test_trace_span_nesting_order () =
   Alcotest.(check bool) "error recorded" true
     (contains (Trace.to_chrome_json tr) "\"error\":\"Failure(\\\"kaboom\\\")\"")
 
+(* Sections are made once, at module initialisation, as in [lib/]. *)
+let bare_section = Obs.section "test.bare"
+let work_section = Obs.section "test.work"
+
+let span_count name =
+  Registry.histogram_count
+    (Registry.histogram ~labels:[ ("span", name) ] Registry.default "kondo_span_seconds")
+
 let test_ambient_span () =
-  Alcotest.(check bool) "no tracer by default" false (Obs.enabled ());
-  Alcotest.(check int) "span without tracer runs bare" 7 (Obs.span "s" (fun () -> 7));
+  Alcotest.(check bool) "no tracer by default" true (Obs.tracer () = None);
+  let bare0 = span_count "test.bare" and work0 = span_count "test.work" in
+  Alcotest.(check int) "span without tracer runs bare" 7 (Obs.span bare_section (fun () -> 7));
+  (match Obs.span bare_section (fun () -> failwith "kaboom") with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "untraced spans count, raising or not" (bare0 + 2)
+    (span_count "test.bare");
   let tr = Trace.create ~clock:(Clock.virtual_ ~step:1e-6 ()) () in
   Obs.set_tracer (Some tr);
   Fun.protect
     ~finally:(fun () -> Obs.set_tracer None)
     (fun () ->
       let v =
-        Obs.span "work"
+        Obs.span work_section
           ~result_args:(fun v -> [ ("result", string_of_int v) ])
           (fun () ->
             Obs.instant "tick";
             41 + 1)
       in
       Alcotest.(check int) "value returned" 42 v);
-  Alcotest.(check bool) "tracer uninstalled" false (Obs.enabled ());
+  Alcotest.(check bool) "tracer uninstalled" true (Obs.tracer () = None);
   Alcotest.(check int) "both events recorded" 2 (Trace.event_count tr);
+  Alcotest.(check int) "a traced span counts" (work0 + 1) (span_count "test.work");
   Alcotest.(check bool) "result args recorded" true
     (contains (Trace.to_chrome_json tr) "\"result\":\"42\"")
+
+let test_registry_labelled_histogram_golden () =
+  let r = Registry.create () in
+  let h name = Registry.histogram ~help:"Span time" ~buckets:[| 0.5; 2.0 |]
+      ~labels:[ ("span", name) ] r "t_span_seconds" in
+  List.iter (Registry.observe (h "b.write")) [ 0.25; 1.0 ];
+  Registry.observe (h "a.read") 4.0;
+  let expected =
+    "# HELP t_span_seconds Span time\n\
+     # TYPE t_span_seconds histogram\n\
+     t_span_seconds_bucket{span=\"a.read\",le=\"0.5\"} 0\n\
+     t_span_seconds_bucket{span=\"a.read\",le=\"2.0\"} 0\n\
+     t_span_seconds_bucket{span=\"a.read\",le=\"+Inf\"} 1\n\
+     t_span_seconds_sum{span=\"a.read\"} 4.0\n\
+     t_span_seconds_count{span=\"a.read\"} 1\n\
+     t_span_seconds_bucket{span=\"b.write\",le=\"0.5\"} 1\n\
+     t_span_seconds_bucket{span=\"b.write\",le=\"2.0\"} 2\n\
+     t_span_seconds_bucket{span=\"b.write\",le=\"+Inf\"} 2\n\
+     t_span_seconds_sum{span=\"b.write\"} 1.25\n\
+     t_span_seconds_count{span=\"b.write\"} 2\n"
+  in
+  Alcotest.(check string) "labelled histogram exposition" expected (Registry.expose r);
+  Alcotest.(check string) "labelled histogram json"
+    "{\"counters\":{},\"histograms\":{\"t_span_seconds{span=\\\"a.read\\\"}\":\
+     {\"buckets\":[{\"le\":\"0.5\",\"count\":0},{\"le\":\"2.0\",\"count\":0},\
+     {\"le\":\"+Inf\",\"count\":1}],\"sum\":4.0,\"count\":1},\
+     \"t_span_seconds{span=\\\"b.write\\\"}\":{\"buckets\":[{\"le\":\"0.5\",\"count\":1},\
+     {\"le\":\"2.0\",\"count\":2},{\"le\":\"+Inf\",\"count\":2}],\"sum\":1.25,\
+     \"count\":2}}}"
+    (Registry.to_json r)
 
 (* ---- STATS protocol op ---- *)
 
@@ -312,6 +347,39 @@ let test_debloat_identical_under_tracing () =
       Alcotest.(check bool) "debloated outputs byte-identical" true
         (String.equal (read_file dst_plain) (read_file dst_traced)))
 
+(* Under a virtual-clock tracer every span's series in a scrape holds
+   exactly what the trace holds: one duration per span, read from the
+   same two clock reads.  A whole-second step keeps every sum exact. *)
+let test_span_series_equal_trace_totals () =
+  let p = Stencils.prl2d ~n:32 () in
+  let src = Filename.temp_file "obs_src" ".kh5" in
+  let dst = Filename.temp_file "obs_dst" ".kh5" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; dst ])
+    (fun () ->
+      Datafile.write_for ~path:src p;
+      let config =
+        { Config.default with Config.seed = 5; max_iter = 60; stop_iter = 60; jobs = 2 }
+      in
+      Registry.reset Registry.default;
+      let tr = Trace.create ~clock:(Clock.virtual_ ~step:1.0 ()) () in
+      Obs.set_tracer (Some tr);
+      Fun.protect
+        ~finally:(fun () -> Obs.set_tracer None)
+        (fun () -> ignore (Pipeline.debloat_file ~config p ~src ~dst));
+      let scrape = Registry.expose Registry.default in
+      let totals = Trace.span_totals tr in
+      Alcotest.(check bool) "one debloat_file span" true
+        (List.exists (fun (name, _, n) -> name = "pipeline.debloat_file" && n = 1) totals);
+      List.iter
+        (fun (name, seconds, n) ->
+          let line suffix v = Printf.sprintf "kondo_span_seconds_%s{span=%S} %s\n" suffix name v in
+          Alcotest.(check bool) (name ^ " _sum") true
+            (contains scrape (line "sum" (Jsonw.number seconds)));
+          Alcotest.(check bool) (name ^ " _count") true
+            (contains scrape (line "count" (string_of_int n))))
+        totals)
+
 let test_fuzz_trace_json_deterministic () =
   let p = Stencils.prl2d ~n:64 () in
   let config = { Config.default with Config.seed = 3; max_iter = 80; stop_iter = 80 } in
@@ -345,11 +413,12 @@ let suite =
         test_registry_golden_exposition;
       Alcotest.test_case "registry labelled series golden" `Quick
         test_registry_labelled_golden;
+      Alcotest.test_case "registry labelled histogram golden" `Quick
+        test_registry_labelled_histogram_golden;
       Alcotest.test_case "registry get-or-create and validation" `Quick
         test_registry_get_or_create;
       QCheck_alcotest.to_alcotest qcheck_concurrent_counters;
       Alcotest.test_case "trace golden chrome json" `Quick test_trace_golden_chrome_json;
-      Alcotest.test_case "trace golden text tree" `Quick test_trace_golden_text_tree;
       Alcotest.test_case "trace span nesting and errors" `Quick
         test_trace_span_nesting_order;
       Alcotest.test_case "ambient span on/off" `Quick test_ambient_span;
@@ -357,6 +426,8 @@ let suite =
       Alcotest.test_case "STATS op end to end" `Quick test_scrape_end_to_end;
       Alcotest.test_case "tracing leaves debloated output byte-identical" `Quick
         test_debloat_identical_under_tracing;
+      Alcotest.test_case "span series equal the trace's span totals" `Quick
+        test_span_series_equal_trace_totals;
       Alcotest.test_case "fuzz trace export is deterministic" `Quick
         test_fuzz_trace_json_deterministic;
       Alcotest.test_case "schedule counters flow into the registry" `Quick

@@ -955,6 +955,46 @@ let test_runtime_reads_through_store () =
   Client.close client;
   Sys.remove src
 
+(* ---- Untraced spans ---- *)
+
+let span_count name =
+  Kondo_obs.Registry.histogram_count
+    (Kondo_obs.Registry.histogram ~labels:[ ("span", name) ] Kondo_obs.Registry.default
+       "kondo_span_seconds")
+
+let test_untraced_spans_count () =
+  Alcotest.(check bool) "no tracer installed" true (Kondo_obs.Obs.tracer () = None);
+  let names = [ "server.handle"; "client.exchange"; "runtime.fetch" ] in
+  let step label expected f =
+    let before = List.map span_count names in
+    f ();
+    Alcotest.(check (list int)) label expected
+      (List.map2 ( - ) (List.map span_count names) before)
+  in
+  let p, src, img = build_hollow_image () in
+  let server, conn = loopback_pair () in
+  step "one Server.handle" [ 1; 0; 0 ] (fun () ->
+      ignore (Server.handle server (Proto.encode_request Proto.Stat)));
+  let client = Client.connect conn in
+  step "one client exchange, one round trip" [ 1; 1; 0 ] (fun () ->
+      match Client.stat client with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Kondo_faults.Fault.to_string e));
+  let store =
+    { Runtime.source_name = "zeros";
+      store_fetch = (fun ~dst:_ ~dataset:_ ~offset:_ ~length -> Ok (Bytes.make length '\000')) }
+  in
+  let dir = fresh_dir "kondo_spans" in
+  let rt = Runtime.boot ~store ~image:img ~dir () in
+  let read idx = ignore (Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset idx) in
+  step "one runtime block fetch" [ 0; 0; 1 ] (fun () -> read [| 0; 0 |]);
+  step "an overlay hit fetches nothing" [ 0; 0; 0 ] (fun () -> read [| 0; 1 |]);
+  Runtime.shutdown rt;
+  Client.close client;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  Sys.remove src
+
 let remote_source ?faults ?retry img =
   match Source.of_image ?faults ?retry img with Ok r -> r | Error e -> Alcotest.fail e
 
@@ -1500,6 +1540,8 @@ let suite =
         test_replies_under_corruption_exact_or_error;
       Alcotest.test_case "runtime reads through the store" `Quick
         test_runtime_reads_through_store;
+      Alcotest.test_case "untraced spans count each section once" `Quick
+        test_untraced_spans_count;
       Alcotest.test_case "remote batch over one source" `Quick
         test_remote_batch_over_one_source;
       Alcotest.test_case "store failure falls back to the file" `Quick
