@@ -75,14 +75,17 @@ let sweep_row p image ~label ~plan_spec =
   let dir = Filename.temp_file "exp_faults_rt" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  (* the boot opens and checks the source file; the first miss digests it *)
+  (* the boot writes the mount and opens and checks the source file; the
+     first miss digests it *)
   let t0 = now () in
+  let mounts = Image.materialize image ~dir in
+  let sources = List.map (fun d -> (d.Spec.dst, d.Spec.src)) image.Image.spec.Spec.data_deps in
   let client, store =
-    match Source.of_image ~retry ~faults:plan image with
+    match Source.of_files ~retry ~faults:plan ~mounts ~sources () with
     | Ok r -> r
     | Error msg -> failwith ("exp_faults: " ^ msg)
   in
-  let rt = Runtime.boot ~store ~image ~dir () in
+  let rt = Runtime.of_files ~store mounts in
   let boot_s = now () -. t0 in
   let truth = Program.ground_truth p in
   let served = ref 0 and degraded = ref 0 and total = ref 0 in

@@ -76,7 +76,8 @@ let run_pass p image server ~cache_bytes ~pass =
   let dir = Filename.temp_file "exp_store_rt" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let rt = Runtime.boot ~store:(Source.of_client ~image client) ~image ~dir () in
+  let mounts = Image.materialize image ~dir in
+  let rt = Runtime.of_files ~store:(Source.of_client ~mounts client) mounts in
   let srv0 = Cache.stats (Server.cache server) in
   let truth = Program.ground_truth p in
   let served = ref 0 and total = ref 0 in

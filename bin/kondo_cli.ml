@@ -312,25 +312,19 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
   in
   let cache () = Kondo_store.Cache.create ~budget_bytes:store_cache () in
   let dst = "/data" in
-  (* A source's view of the mount: its bytes, with [src] as their
-     origin.  Only a run with a source reads the file up front. *)
-  let image =
-    lazy
-      (Image.build
-         { Spec.empty with
-           Spec.base = "scratch";
-           data_deps = [ { Spec.src = Option.value src ~default:""; dst } ] }
-         ~fetch:(fun _ -> read_whole_file path))
-  in
+  let mounts = [ (dst, path) ] in
   let remote =
-    match src with
-    | None -> None
-    | Some _ -> (
-      match Kondo_store.Source.of_image ~retry ~faults:plan ~cache:(cache ()) (Lazy.force image) with
-      | Ok r -> Some r
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2)
+    Option.map
+      (fun src ->
+        match
+          Kondo_store.Source.of_files ~retry ~faults:plan ~cache:(cache ()) ~mounts
+            ~sources:[ (dst, src) ] ()
+        with
+        | Ok r -> r
+        | Error msg ->
+          Printf.eprintf "%s\n" msg;
+          exit 2)
+      src
   in
   let store =
     Option.map
@@ -343,7 +337,7 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
             exit 2
         in
         let client = Kondo_store.Client.connect ~retry ~faults:plan ~cache:(cache ()) conn in
-        (client, Kondo_store.Source.of_client ~store_name ~image:(Lazy.force image) client))
+        (client, Kondo_store.Source.of_client ~store_name ~mounts client))
       remote_store
   in
   let clients = List.filter_map Fun.id [ store; remote ] in
@@ -351,7 +345,7 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
     match clients with [] -> None | cs -> Some (Kondo_store.Source.first (List.map snd cs))
   in
   let rt =
-    try Runtime.of_files ?store:source [ (dst, path) ]
+    try Runtime.of_files ?store:source mounts
     with Kondo_h5.Binio.Corrupt msg -> raise (Kondo_h5.Binio.Corrupt (path ^ ": " ^ msg))
   in
   Fun.protect ~finally:(fun () ->

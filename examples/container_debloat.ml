@@ -86,17 +86,21 @@ let () =
   (* cripple Kondo on purpose so an offset is missing *)
   let weak = { Config.default with Config.max_iter = 5; stop_iter = 5; n_init = 2 } in
   let crippled, _ = Pipeline.debloat_image ~config:weak program ~image ~dst:"/stencil/data.kh5" in
-  let rt = Runtime.boot ~image:crippled ~dir () in
+  let mounts = Image.materialize crippled ~dir in
+  let rt = Runtime.of_files mounts in
   (try ignore (Runtime.read_element rt ~dst:"/stencil/data.kh5" ~dataset:"data" [| 127; 127 |])
    with Kondo_h5.File.Data_missing m ->
      Printf.printf "exception     : Data_missing at index (%d,%d), byte offset %d — as §III specifies\n"
        m.Kondo_h5.File.index.(0) m.Kondo_h5.File.index.(1) m.Kondo_h5.File.offset);
   Runtime.shutdown rt;
   (* Alice's server: her source file, chunked behind a store client *)
+  let sources = List.map (fun d -> (d.Spec.dst, d.Spec.src)) crippled.Image.spec.Spec.data_deps in
   let client, store =
-    match Kondo_store.Source.of_image crippled with Ok r -> r | Error e -> failwith e
+    match Kondo_store.Source.of_files ~mounts ~sources () with
+    | Ok r -> r
+    | Error e -> failwith e
   in
-  let rt = Runtime.boot ~store ~image:crippled ~dir () in
+  let rt = Runtime.of_files ~store mounts in
   let v = Runtime.read_element rt ~dst:"/stencil/data.kh5" ~dataset:"data" [| 127; 127 |] in
   Printf.printf "remote fetch  : §VI fallback pulled the value (%g) from Alice's server; stats: %d miss, %d fetched\n"
     v (Runtime.stats rt).Runtime.misses (Runtime.stats rt).Runtime.store_fetches;

@@ -1,6 +1,5 @@
 open Kondo_faults
 
-let magic_v1 = "KLOG\x01"
 let magic = "KLOG\x02"
 
 (* ---- varint encoding (LEB128, unsigned) ---- *)
@@ -147,11 +146,6 @@ let load_salvage path =
     let frames, intact = Frame.read_all buf ~pos:(String.length magic) in
     (parse_records frames, intact)
   end
-  else if have_magic magic_v1 then
-    (* legacy unframed stream: one strict record run after the magic, a
-       truncated tail is an error the way it always was *)
-    let m = String.length magic_v1 in
-    (parse_records [ Bytes.sub_string buf m (Bytes.length buf - m) ], true)
   else if Bytes.length buf < String.length magic then
     (* shorter than any magic: nothing salvageable, treat as empty *)
     ([], false)

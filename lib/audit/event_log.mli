@@ -9,7 +9,8 @@
     ({!Kondo_faults.Frame}) and flushed, so a crash at {e any} byte
     leaves a salvageable prefix: {!load} drops a torn or corrupted tail
     and returns the longest valid event prefix instead of failing the
-    whole log.  v1 logs still load.
+    whole log.  A v1 log (unframed, [KLOG\x01]) fails as bad magic:
+    nothing has written one since v2.
 
     A saved log reloads into the exact event list; [replay] folds a log
     into a fresh {!Tracer} to rebuild its interval indexes. *)
@@ -30,7 +31,7 @@ val save : string -> Event.t list -> unit
 val load : string -> Event.t list
 (** Longest valid prefix of the log; a truncated or corrupted tail is
     dropped, not an error.  @raise Failure on logs that are not event
-    logs at all (bad magic, malformed v1 streams). *)
+    logs at all (bad magic). *)
 
 val load_salvage : string -> Event.t list * bool
 (** Like {!load}, also reporting whether the log was fully intact

@@ -7,7 +7,6 @@ type result = {
   executions : int;
   queue_entries : int;
   coverage_edges : int;
-  elapsed : float;
 }
 
 let field_width = 8
@@ -156,5 +155,4 @@ let run ?(seed = 1) ?time_budget ?max_execs p =
   { indices;
     executions = !executions;
     queue_entries = Array.length !queue;
-    coverage_edges = Hashtbl.length coverage;
-    elapsed = Kondo_obs.Clock.(now real) -. t0 }
+    coverage_edges = Hashtbl.length coverage }

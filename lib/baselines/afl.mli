@@ -22,7 +22,6 @@ type result = {
   executions : int;
   queue_entries : int;     (** inputs that triggered new coverage *)
   coverage_edges : int;    (** distinct edges seen *)
-  elapsed : float;
 }
 
 val run : ?seed:int -> ?time_budget:float -> ?max_execs:int -> Program.t -> result

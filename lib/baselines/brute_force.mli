@@ -13,7 +13,6 @@ type result = {
   indices : Index_set.t;
   evaluations : int;
   exhausted : bool;   (** whole Θ enumerated *)
-  elapsed : float;
 }
 
 val run : ?time_budget:float -> ?max_evals:int -> Program.t -> result

@@ -15,7 +15,6 @@ type result = {
   kondo : Pipeline.report;     (** the primary pipeline's report *)
   afl_extra : int;             (** indices AFL observed that Kondo had not *)
   approx : Index_set.t;        (** final I'_Θ after union and re-carving *)
-  elapsed : float;
 }
 
 val run : config:Config.t -> ?afl_budget:int -> Program.t -> result

@@ -14,7 +14,6 @@ type result = {
   fuzz : Schedule.result;
   approx : Index_set.t;
   hull_vertices : int;  (** 0 when nothing was observed *)
-  elapsed : float;
 }
 
 val run : config:Config.t -> Program.t -> result

@@ -12,7 +12,7 @@ open Kondo_audit
     (retry with backoff, circuit breaking, fault injection, per-chunk
     digest verification) belongs to the source — in practice a
     [Kondo_store.Client], whether it talks to a [kondo serve] socket or
-    to a loopback server over the image's own source files.  When the
+    to a loopback server over dense source files on disk.  When the
     source cannot serve a miss the read degrades to a structured
     {!Degraded} error carrying the missing offset and the cause — never
     an arbitrary leaked exception.

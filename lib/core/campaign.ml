@@ -22,13 +22,8 @@ let extend ~config p t k =
   Index_set.union_into observed found;
   { t with rounds = t.rounds + k; observed }
 
-let carve ~config p t =
-  let result = Carver.carve ~config t.observed in
-  let approx = Carver.rasterize p.Program.shape result.Carver.hulls in
-  Index_set.union_into approx t.observed;
-  approx
+let carve ~config p t = snd (Pipeline.subset ~config p t.observed)
 
-let magic_v1 = "KCAM\x01"
 let magic = "KCAM\x02"
 
 (* v2 layout: magic, then CRC frames ({!Kondo_faults.Frame}) — a header
@@ -64,34 +59,6 @@ type parsed =
 let fail_of path p msg =
   Invalid_argument
     (Printf.sprintf "Campaign.load %S (program %s): %s" path p.Program.name msg)
-
-let parse_v1 p buf =
-  let n = Bytes.length buf in
-  let base = String.length magic_v1 in
-  if n < base + 8 then Corrupt "truncated header"
-  else begin
-    let rounds = Int32.to_int (Bytes.get_int32_le buf base) in
-    let name_len = Int32.to_int (Bytes.get_int32_le buf (base + 4)) in
-    if name_len < 0 || name_len > 4096 || base + 8 + name_len > n then
-      Corrupt (Printf.sprintf "bad name length %d" name_len)
-    else begin
-      let name = Bytes.sub_string buf (base + 8) name_len in
-      if not (String.equal name p.Program.name) then
-        Mismatch (Printf.sprintf "campaign belongs to program %s" name)
-      else begin
-        let rest = Bytes.sub buf (base + 8 + name_len) (n - base - 8 - name_len) in
-        match Index_set.of_bytes rest with
-        | exception Invalid_argument msg -> Corrupt (Printf.sprintf "corrupt observed set (%s)" msg)
-        | observed ->
-          if not (Shape.equal (Index_set.shape observed) p.Program.shape) then
-            Mismatch
-              (Printf.sprintf "shape mismatch (%s in file, program wants %s)"
-                 (Shape.to_string (Index_set.shape observed))
-                 (Shape.to_string p.Program.shape))
-          else Parsed ({ name; rounds; observed }, true)
-      end
-    end
-  end
 
 (* Rebuild the observed set from a (possibly partial) prefix of its
    serialized bytes: verify any salvaged piece of the embedded shape
@@ -156,7 +123,6 @@ let parse p path =
       Bytes.length buf >= String.length m && Bytes.sub_string buf 0 (String.length m) = m
     in
     if have_magic magic then parse_v2 p buf
-    else if have_magic magic_v1 then parse_v1 p buf
     else if Bytes.length buf < String.length magic then Corrupt "truncated magic"
     else Mismatch "bad magic"
 

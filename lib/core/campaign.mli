@@ -35,8 +35,8 @@ val save : t -> string -> unit
     the new complete state, never a torn file. *)
 
 val load : Program.t -> string -> t
-(** Load a v2 (CRC-framed) or legacy v1 state file.  A v2 file with a
-    truncated or corrupted tail is {e salvaged}: every intact frame of
+(** Load a v2 (CRC-framed) state file; a v1 file fails as bad magic.
+    A file with a truncated or corrupted tail is {e salvaged}: every intact frame of
     the observed set is kept and the lost tail counts as unobserved, so
     the campaign still resumes.  @raise Invalid_argument when the file
     belongs to a different program or shape, or is not a campaign at

@@ -8,7 +8,6 @@ type report = {
   carve : Carver.result;
   approx : Index_set.t;
   accuracy : Metrics.accuracy option;
-  elapsed : float;
 }
 
 (* Every pipeline step is a span: each counts in [kondo_span_seconds],
@@ -24,6 +23,21 @@ let debloat_file_many_section = section "pipeline.debloat_file_many"
 let debloat_image_section = section "pipeline.debloat_image"
 let stage_section = section "pipeline.stage"
 
+let subset ~config p observed =
+  let carve = Carver.carve ~config observed in
+  let approx =
+    span rasterize_section
+      ~result_args:(fun a -> [ ("approx_indices", string_of_int (Index_set.cardinal a)) ])
+      (fun () ->
+        let approx = Carver.rasterize p.Program.shape carve.Carver.hulls in
+        (* Observed indices are certainly required; hulls contain their
+           own input points, but numerical eps could drop a boundary
+           point. *)
+        Index_set.union_into approx observed;
+        approx)
+  in
+  (carve, approx)
+
 let approximate ~config p =
   span approximate_section
     ~args:[ ("program", p.Program.name) ]
@@ -31,26 +45,9 @@ let approximate ~config p =
       [ ("approx_indices", string_of_int (Index_set.cardinal r.approx));
         ("hulls", string_of_int (List.length r.carve.Carver.hulls)) ])
     (fun () ->
-      let t0 = Kondo_obs.Clock.(now real) in
       let fuzz = Schedule.run ~config p in
-      let carve = Carver.carve ~config fuzz.Schedule.indices in
-      let approx =
-        span rasterize_section
-          ~result_args:(fun a -> [ ("approx_indices", string_of_int (Index_set.cardinal a)) ])
-          (fun () ->
-            let approx = Carver.rasterize p.Program.shape carve.Carver.hulls in
-            (* Observed indices are certainly required; hulls contain their
-               own input points, but numerical eps could drop a boundary
-               point. *)
-            Index_set.union_into approx fuzz.Schedule.indices;
-            approx)
-      in
-      { program = p.Program.name;
-        fuzz;
-        carve;
-        approx;
-        accuracy = None;
-        elapsed = Kondo_obs.Clock.(now real) -. t0 })
+      let carve, approx = subset ~config p fuzz.Schedule.indices in
+      { program = p.Program.name; fuzz; carve; approx; accuracy = None })
 
 let evaluate ~config p =
   let r = approximate ~config p in

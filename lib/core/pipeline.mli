@@ -14,8 +14,13 @@ type report = {
   carve : Carver.result;
   approx : Index_set.t;   (** I'_Θ: hull lattice ∪ observed indices *)
   accuracy : Metrics.accuracy option;  (** vs ground truth, when computed *)
-  elapsed : float;        (** total seconds: fuzz + carve + rasterize *)
 }
+
+val subset : config:Config.t -> Program.t -> Index_set.t -> Carver.result * Index_set.t
+(** The subset step: carve the observed indices into hulls (Alg. 2),
+    rasterize the hulls and add the observed indices themselves, giving
+    [I'_Θ].  {!approximate}, [Campaign.carve] and the hybrid baseline
+    all take this one step. *)
 
 val approximate : config:Config.t -> Program.t -> report
 (** Run the pipeline; [accuracy] is [None] (no ground-truth pass). *)

@@ -77,8 +77,7 @@ let schedule_json (r : Schedule.result) =
       ("evaluations", Json.Int r.Schedule.evaluations);
       ("useful", Json.Int r.Schedule.useful_count);
       ("discovered_indices", Json.Int (Index_set.cardinal r.Schedule.indices));
-      ("stopped", Json.String (stop_reason_string r.Schedule.stopped));
-      ("elapsed_s", Json.Float r.Schedule.elapsed) ]
+      ("stopped", Json.String (stop_reason_string r.Schedule.stopped)) ]
 
 (* The fuzz schedule's outcome trace (paper Fig. 4 scatter data) in
    Chrome trace_event form: one complete event per debloat test at
@@ -130,8 +129,7 @@ let pipeline_json ?accuracy p (r : Pipeline.report) =
              ("merges", Json.Int r.Pipeline.carve.Carver.merges);
              ("sweeps", Json.Int r.Pipeline.carve.Carver.merge_rounds) ] );
        ("subset_indices", Json.Int (Index_set.cardinal r.Pipeline.approx));
-       ("subset_fraction", Json.Float (Index_set.fraction r.Pipeline.approx));
-       ("elapsed_s", Json.Float r.Pipeline.elapsed) ]
+       ("subset_fraction", Json.Float (Index_set.fraction r.Pipeline.approx)) ]
     @ match acc with None -> [] | Some a -> [ ("accuracy", accuracy_json a) ])
 
 let pipeline_text ?accuracy p (r : Pipeline.report) =

@@ -56,7 +56,6 @@ type result = {
   evaluations : int;
   useful_count : int;
   stopped : stop_reason;
-  elapsed : float;
 }
 
 let key_of_params v = Array.to_list (Array.map (fun x -> int_of_float (Float.round x)) v)
@@ -207,8 +206,7 @@ let fuzz ~config p ~eval =
       iterations = !itr;
       evaluations = !evaluations;
       useful_count = !useful_count;
-      stopped = !stopped;
-      elapsed = Kondo_obs.Clock.(now real) -. t0 },
+      stopped = !stopped },
     fun () ->
       [ ("iterations", string_of_int !itr);
         ("evaluations", string_of_int !evaluations);

@@ -24,7 +24,6 @@ type result = {
   evaluations : int;          (** debloat tests actually run *)
   useful_count : int;
   stopped : stop_reason;
-  elapsed : float;            (** seconds *)
 }
 
 val run : config:Config.t -> Program.t -> result

@@ -14,28 +14,23 @@ type manifest = {
   root : id;
 }
 
-let split ?(chunk_size = default_size) buf =
-  if chunk_size < 1 then invalid_arg "Chunk.split: chunk_size < 1";
-  let n = Bytes.length buf in
-  let count = (n + chunk_size - 1) / chunk_size in
-  List.init count (fun i ->
-      let off = i * chunk_size in
-      (i, Bytes.sub buf off (min chunk_size (n - off))))
-
 (* The FNV offset basis doubles as the empty root. *)
 let empty_root = Fnv.hash_bytes Bytes.empty
 
 let root_of_ids ids = Array.fold_left Fnv.hash_pair empty_root ids
 
-let manifest_of_bytes ?(chunk_size = default_size) ~name buf =
-  if chunk_size < 1 then invalid_arg "Chunk.manifest_of_bytes: chunk_size < 1";
-  let n = Bytes.length buf in
+let index ?(chunk_size = default_size) ~name ~total_len digest_tile =
+  if chunk_size < 1 then invalid_arg "Chunk.index: chunk_size < 1";
   let ids =
-    Array.init ((n + chunk_size - 1) / chunk_size) (fun i ->
-        let off = i * chunk_size in
-        Fnv.hash_region buf off (min chunk_size (n - off)))
+    Array.init ((total_len + chunk_size - 1) / chunk_size) (fun i ->
+        let offset = i * chunk_size in
+        digest_tile ~offset ~length:(min chunk_size (total_len - offset)))
   in
-  { name; chunk_size; total_len = n; ids; root = root_of_ids ids }
+  { name; chunk_size; total_len; ids; root = root_of_ids ids }
+
+let manifest_of_bytes ?chunk_size ~name buf =
+  index ?chunk_size ~name ~total_len:(Bytes.length buf) (fun ~offset ~length ->
+      Fnv.hash_region buf offset length)
 
 let chunk_count m = Array.length m.ids
 

@@ -27,14 +27,19 @@ type manifest = {
   root : id;           (** fold of [ids] with [Fnv.hash_pair] *)
 }
 
-val split : ?chunk_size:int -> bytes -> (int * bytes) list
-(** [(index, payload)] tiles of the blob; every tile is [chunk_size]
-    bytes except possibly the last.  @raise Invalid_argument when
-    [chunk_size < 1]. *)
+val index :
+  ?chunk_size:int -> name:string -> total_len:int ->
+  (offset:int -> length:int -> id) -> manifest
+(** The manifest of a [total_len]-byte blob: tile it into [chunk_size]
+    chunks (every one full except possibly the last), give each the id
+    [digest_tile ~offset ~length] returns for its span, in offset order,
+    and fold the root.  The one chunk indexer: {!manifest_of_bytes} and
+    the [--remote] loopback both call it.
+    @raise Invalid_argument when [chunk_size < 1]. *)
 
 val manifest_of_bytes : ?chunk_size:int -> name:string -> bytes -> manifest
-(** The blob's manifest, each tile digested in place (nothing copied).
-    @raise Invalid_argument when [chunk_size < 1]. *)
+(** {!index} over a buffer, each tile digested in place (nothing
+    copied).  @raise Invalid_argument when [chunk_size < 1]. *)
 
 val root_of_ids : id array -> id
 (** The manifest root: [ids] folded left with [Fnv.hash_pair]

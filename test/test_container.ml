@@ -127,9 +127,11 @@ let test_runtime_serves_reads () =
   Sys.remove src
 
 (* The remote-file source: the image's source files behind a loopback
-   chunk server and a store client. *)
-let remote_source ?faults ?retry img =
-  match Kondo_store.Source.of_image ?faults ?retry img with
+   chunk server and a store client, serving the [mounts] its data layers
+   were materialized to. *)
+let remote_source ?faults ?retry ~mounts img =
+  let sources = List.map (fun d -> (d.Spec.dst, d.Spec.src)) img.Image.spec.Spec.data_deps in
+  match Kondo_store.Source.of_files ?faults ?retry ~mounts ~sources () with
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
@@ -150,7 +152,8 @@ let test_runtime_remote_fallback () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   (* without remote: Data_missing *)
-  let rt = Runtime.boot ~image:img ~dir () in
+  let mounts = Image.materialize img ~dir in
+  let rt = Runtime.of_files mounts in
   (try
      ignore (Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset [| 0; 0 |]);
      Alcotest.fail "expected Data_missing"
@@ -158,8 +161,8 @@ let test_runtime_remote_fallback () =
   Alcotest.(check int) "miss counted" 1 (Runtime.stats rt).Runtime.misses;
   Runtime.shutdown rt;
   (* with remote fallback: value served from the source file *)
-  let client, store = remote_source img in
-  let rt = Runtime.boot ~store ~image:img ~dir () in
+  let client, store = remote_source ~mounts img in
+  let rt = Runtime.of_files ~store mounts in
   let v = Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset [| 0; 0 |] in
   Alcotest.(check (float 1e-9)) "remote value" (Datafile.fill [| 0; 0 |]) v;
   Alcotest.(check int) "remote fetch counted" 1 (Runtime.stats rt).Runtime.store_fetches;
@@ -233,8 +236,11 @@ let generous_retry =
 let test_runtime_transient_faults_all_served () =
   let p, src, img = build_hollow_image () in
   let run () =
-    let client, store = remote_source ~faults:(transient_plan ()) ~retry:generous_retry img in
-    let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtf") () in
+    let mounts = Image.materialize img ~dir:(fresh_dir "kondo_rtf") in
+    let client, store =
+      remote_source ~faults:(transient_plan ()) ~retry:generous_retry ~mounts img
+    in
+    let rt = Runtime.of_files ~store mounts in
     let served, degraded = read_all_truth rt p in
     let s = Runtime.stats rt in
     Alcotest.(check int) "no read degrades" 0 degraded;
@@ -260,8 +266,9 @@ let test_runtime_transient_faults_all_served () =
 let test_runtime_permanent_faults_degrade () =
   let p, src, img = build_hollow_image () in
   let plan = Kondo_faults.Fault_plan.create ~permanent:1.0 ~seed:7 () in
-  let client, store = remote_source ~faults:plan img in
-  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtp") () in
+  let mounts = Image.materialize img ~dir:(fresh_dir "kondo_rtp") in
+  let client, store = remote_source ~faults:plan ~mounts img in
+  let rt = Runtime.of_files ~store mounts in
   let served, degraded = read_all_truth rt p in
   let s = Runtime.stats rt in
   Alcotest.(check int) "nothing served" 0 served;

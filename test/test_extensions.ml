@@ -139,48 +139,12 @@ let test_event_log_bad_magic () =
      ignore (Event_log.load path);
      Alcotest.fail "expected failure"
    with Failure _ -> ());
-  Sys.remove path
-
-(* A v1 log, the legacy unframed format, built byte by byte: the magic,
-   then LEB128 records — tag 0 defines a path id, tag 1 is an event
-   (seq, pid, path id, op, offset, size). *)
-let v1_log =
-  String.concat ""
-    [ "KLOG\x01";
-      "\x00\x00\x06/a.kh5";
-      "\x01\x00\x07\x00\x00\x00\x00";
-      "\x01\x01\x07\x00\x01\xac\x02\x10";
-      "\x00\x01\x06/b.kh5";
-      "\x01\x02\x08\x01\x02\x80\x80\x01\x80\x20";
-      "\x01\x03\x07\x00\x04\x00\x00" ]
-
-let v1_events =
-  [ { Event.seq = 0; pid = 7; path = "/a.kh5"; op = Event.Open; offset = 0; size = 0 };
-    { Event.seq = 1; pid = 7; path = "/a.kh5"; op = Event.Read; offset = 300; size = 16 };
-    { Event.seq = 2; pid = 8; path = "/b.kh5"; op = Event.Write; offset = 16384; size = 4096 };
-    { Event.seq = 3; pid = 7; path = "/a.kh5"; op = Event.Close; offset = 0; size = 0 } ]
-
-let test_event_log_v1 () =
-  let path = Filename.temp_file "kondo_log" ".klog" in
-  let write s =
-    let oc = open_out_bin path in
-    output_string oc s;
-    close_out oc
-  in
-  write v1_log;
-  Alcotest.(check (list string)) "v1 events"
-    (List.map Event.to_string v1_events)
-    (List.map Event.to_string (Event_log.load path));
-  Alcotest.(check bool) "v1 is intact" true (snd (Event_log.load_salvage path));
-  (* v1 is strict: a truncated stream is an error, not a salvaged prefix *)
-  List.iter
-    (fun (cut, msg) ->
-      write (String.sub v1_log 0 cut);
-      Alcotest.check_raises (Printf.sprintf "cut at %d" cut) (Failure msg) (fun () ->
-          ignore (Event_log.load path)))
-    [ (9, "Event_log: truncated path");
-      (20, "Event_log: truncated varint");
-      (String.length v1_log - 1, "Event_log: truncated varint") ];
+  (* a v1 log, the unframed format no writer has produced since v2 *)
+  let oc = open_out_bin path in
+  output_string oc "KLOG\x01\x00\x00\x06/a.kh5\x01\x00\x07\x00\x00\x00\x00";
+  close_out oc;
+  Alcotest.check_raises "v1 is bad magic" (Failure "Event_log: bad magic") (fun () ->
+      ignore (Event_log.load path));
   Sys.remove path
 
 let qcheck_event_log_roundtrip =
@@ -297,6 +261,14 @@ let test_campaign_load_error_names_file () =
   output_string oc "definitely not a campaign";
   close_out oc;
   expect_named garbage;
+  (* a v1 state file, which nothing has written since v2 *)
+  let oc = open_out_bin garbage in
+  output_string oc "KCAM\x01\x00\x00\x00\x00";
+  close_out oc;
+  (match Campaign.load p garbage with
+  | _ -> Alcotest.fail "v1 loaded"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) ("v1 is bad magic: " ^ msg) true (contains msg "bad magic"));
   Sys.remove garbage;
   (* well-formed but for a different program *)
   let other = Filename.temp_file "kondo_campaign_other" ".kcam" in
@@ -359,7 +331,6 @@ let suite =
       Alcotest.test_case "event log: replay into tracer" `Quick test_event_log_replay;
       Alcotest.test_case "event log: streaming writer" `Quick test_event_log_streaming_writer;
       Alcotest.test_case "event log: bad magic" `Quick test_event_log_bad_magic;
-      Alcotest.test_case "event log: v1 fixture" `Quick test_event_log_v1;
       QCheck_alcotest.to_alcotest qcheck_event_log_roundtrip;
       Alcotest.test_case "json serialization" `Quick test_json_serialization;
       Alcotest.test_case "pipeline report json/text" `Quick test_pipeline_report_json;

@@ -77,7 +77,8 @@ let test_unsupported_param_raises_then_remote () =
   let dir = mkdtemp "kondo_bob2" in
   (* find an index the debloated file lacks *)
   let truth = Program.ground_truth p in
-  let local = Runtime.boot ~image:debloated ~dir () in
+  let mounts = Image.materialize debloated ~dir in
+  let local = Runtime.of_files mounts in
   let missing = ref None in
   (try
      Index_set.iter truth (fun idx ->
@@ -91,7 +92,7 @@ let test_unsupported_param_raises_then_remote () =
   match !missing with
   | None -> () (* weak schedule still covered everything: nothing to check *)
   | Some idx ->
-    let rt = Runtime.boot ~image:debloated ~dir () in
+    let rt = Runtime.of_files mounts in
     (try
        ignore (Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset idx);
        Alcotest.fail "expected Data_missing"
@@ -99,11 +100,11 @@ let test_unsupported_param_raises_then_remote () =
     Runtime.shutdown rt;
     (* §VI: the runtime can pull missing offsets from a remote server *)
     let client, store =
-      match Kondo_store.Source.of_image debloated with
+      match Kondo_store.Source.of_files ~mounts ~sources:[ ("/app/data.kh5", src) ] () with
       | Ok r -> r
       | Error e -> Alcotest.fail e
     in
-    let rt = Runtime.boot ~store ~image:debloated ~dir () in
+    let rt = Runtime.of_files ~store mounts in
     let v = Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset idx in
     Alcotest.(check (float 1e-9)) "remote fetch returns original" (Datafile.fill idx) v;
     Runtime.shutdown rt;

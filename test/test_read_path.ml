@@ -231,7 +231,7 @@ let check_runtime c ~dense path =
   let store = if c.with_store then Some (stub_store c.seed) else None in
   let tr = Tracer.create () and to_ = Tracer.create () in
   let mounts = Image.materialize image ~dir in
-  let rt = Runtime.boot ~tracer:tr ?store ~image ~dir () in
+  let rt = Runtime.of_files ~tracer:tr ?store mounts in
   let o = Oracle.boot ~tracer:to_ ?store mounts in
   List.iteri
     (fun i (name, idx) ->

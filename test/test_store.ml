@@ -20,22 +20,34 @@ let contains haystack needle =
 
 (* ---- Chunk ---- *)
 
-let test_chunk_split_tiles () =
+(* The indexer's tiles are contiguous, each verifies as its own chunk,
+   and an index over any reader of the same bytes is the same manifest. *)
+let test_chunk_index_tiles () =
   let blob = bytes_of_seed 3 1000 in
-  let tiles = Chunk.split ~chunk_size:64 blob in
-  Alcotest.(check int) "tile count" 16 (List.length tiles);
-  let rebuilt = Buffer.create 1000 in
-  List.iter (fun (_, payload) -> Buffer.add_bytes rebuilt payload) tiles;
-  Alcotest.(check string) "tiles concatenate to the blob" (Bytes.to_string blob)
-    (Buffer.contents rebuilt);
   let m = Chunk.manifest_of_bytes ~chunk_size:64 ~name:"b" blob in
   Alcotest.(check int) "chunk count" 16 (Chunk.chunk_count m);
-  List.iter
-    (fun (i, payload) ->
+  let rebuilt = Buffer.create 1000 in
+  Array.iteri
+    (fun i _ ->
+      let off, len = Chunk.chunk_span m i in
+      Alcotest.(check int) "tiles are contiguous" (Buffer.length rebuilt) off;
+      let payload = Bytes.sub blob off len in
+      Buffer.add_bytes rebuilt payload;
       Alcotest.(check bool) "payload verifies" true (Chunk.verify m i payload);
       Alcotest.(check bool) "wrong payload rejected" false
         (Chunk.verify m i (Bytes.cat payload (Bytes.make 1 'x'))))
-    tiles
+    m.Chunk.ids;
+  Alcotest.(check string) "tiles concatenate to the blob" (Bytes.to_string blob)
+    (Buffer.contents rebuilt);
+  let spans = ref [] in
+  let copied =
+    Chunk.index ~chunk_size:64 ~name:"b" ~total_len:1000 (fun ~offset ~length ->
+        spans := (offset, length) :: !spans;
+        Chunk.digest (Bytes.sub blob offset length))
+  in
+  Alcotest.(check bool) "same manifest from copied tiles" true (copied = m);
+  Alcotest.(check (list (pair int int))) "one call per tile, in order"
+    (List.init 16 (Chunk.chunk_span m)) (List.rev !spans)
 
 let test_chunk_manifest_roundtrip () =
   let blob = bytes_of_seed 9 777 in
@@ -890,47 +902,34 @@ let test_replies_under_corruption_exact_or_error () =
 
 (* ---- Runtime over the store ---- *)
 
-let build_hollow_image ?(n = 16) () =
-  let p = Stencils.ldc2d ~n () in
-  let src = Filename.temp_file "kondo_store_src" ".kh5" in
-  Datafile.write_for ~path:src p;
-  let spec =
-    { Spec.empty with
-      Spec.base = "scratch";
-      data_deps = [ { Spec.src; dst = "/data" } ];
-      param_space = p.Program.param_space }
-  in
-  let fetch path =
-    let ic = open_in_bin path in
-    let b = Bytes.create (in_channel_length ic) in
-    really_input ic b 0 (Bytes.length b);
-    close_in ic;
-    b
-  in
-  let img = Image.build spec ~fetch in
-  let tmp_deb = Filename.temp_file "kondo_store_deb" ".kh5" in
-  let f = Kondo_h5.File.open_file src in
-  Kondo_h5.Writer.write_debloated tmp_deb ~source:f
-    ~keep:(fun _ -> Kondo_interval.Interval_set.empty);
-  Kondo_h5.File.close f;
-  let img = Image.replace_data img ~dst:"/data" (fetch tmp_deb) in
-  Sys.remove tmp_deb;
-  (p, src, img)
-
 let fresh_dir prefix =
   let dir = Filename.temp_file prefix "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   dir
 
+(* A dense LDC2D source file and a debloated copy that keeps nothing, so
+   every read misses: [(p, src, mounts)], the copy mounted at "/data". *)
+let build_hollow ?(n = 16) () =
+  let p = Stencils.ldc2d ~n () in
+  let src = Filename.temp_file "kondo_store_src" ".kh5" in
+  Datafile.write_for ~path:src p;
+  let deb = Filename.concat (fresh_dir "kondo_store_deb") "data.kh5" in
+  at_exit (fun () -> try Sys.remove deb with Sys_error _ -> ());
+  let f = Kondo_h5.File.open_file src in
+  Kondo_h5.Writer.write_debloated deb ~source:f
+    ~keep:(fun _ -> Kondo_interval.Interval_set.empty);
+  Kondo_h5.File.close f;
+  (p, src, [ ("/data", deb) ])
+
 let test_runtime_reads_through_store () =
-  let p, src, img = build_hollow_image () in
+  let p, src, mounts = build_hollow () in
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~chunk_size:128 ~name:(Filename.basename src) src);
   let client = Client.connect ~cache:(Cache.create ~budget_bytes:65536 ()) conn in
-  let store = Source.of_client ~image:img client in
+  let store = Source.of_client ~mounts client in
   Alcotest.(check string) "source named after the peer" "loopback" store.Runtime.source_name;
-  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rts") () in
+  let rt = Runtime.of_files ~store mounts in
   for i = 0 to 15 do
     for j = 0 to 15 do
       let v = Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |] in
@@ -971,7 +970,7 @@ let test_untraced_spans_count () =
     Alcotest.(check (list int)) label expected
       (List.map2 ( - ) (List.map span_count names) before)
   in
-  let p, src, img = build_hollow_image () in
+  let p, src, mounts = build_hollow () in
   let server, conn = loopback_pair () in
   step "one Server.handle" [ 1; 0; 0 ] (fun () ->
       ignore (Server.handle server (Proto.encode_request Proto.Stat)));
@@ -984,25 +983,25 @@ let test_untraced_spans_count () =
     { Runtime.source_name = "zeros";
       store_fetch = (fun ~dst:_ ~dataset:_ ~offset:_ ~length -> Ok (Bytes.make length '\000')) }
   in
-  let dir = fresh_dir "kondo_spans" in
-  let rt = Runtime.boot ~store ~image:img ~dir () in
+  let rt = Runtime.of_files ~store mounts in
   let read idx = ignore (Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset idx) in
   step "one runtime block fetch" [ 0; 0; 1 ] (fun () -> read [| 0; 0 |]);
   step "an overlay hit fetches nothing" [ 0; 0; 0 ] (fun () -> read [| 0; 1 |]);
   Runtime.shutdown rt;
   Client.close client;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
   Sys.remove src
 
-let remote_source ?faults ?retry img =
-  match Source.of_image ?faults ?retry img with Ok r -> r | Error e -> Alcotest.fail e
+(* The [--remote] source over [src], serving the mount at "/data". *)
+let remote_source ?faults ?retry ?cache ~mounts src =
+  match Source.of_files ?faults ?retry ?cache ~mounts ~sources:[ ("/data", src) ] () with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
 
 (* One BATCH over every chunk of one remote source: the loopback server
-   opens the source once for the request and serves each chunk's bytes. *)
+   serves each chunk's bytes from the file it opened at creation. *)
 let test_remote_batch_over_one_source () =
-  let p, src, img = build_hollow_image ~n:64 () in
-  let client, store = remote_source img in
+  let p, src, mounts = build_hollow ~n:64 () in
+  let client, store = remote_source ~mounts src in
   let f = Kondo_h5.File.open_file src in
   let len = Kondo_h5.Dataset.logical_bytes (Kondo_h5.File.find f p.Program.dataset) in
   let want =
@@ -1021,8 +1020,41 @@ let test_remote_batch_over_one_source () =
   Client.close client;
   Sys.remove src
 
+(* A [--remote] source file replaced by rename after the first miss,
+   with a file of the same length and other values: the source keeps
+   serving the file it opened, so every later miss reads the original
+   value and no fetched chunk mismatches its id. *)
+let test_remote_source_replaced_by_rename () =
+  let p, src, mounts = build_hollow ~n:64 () in
+  let client, store = remote_source ~mounts src in
+  let rt = Runtime.of_files ~store mounts in
+  let read idx =
+    match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset idx with
+    | Ok v -> Alcotest.(check (float 1e-9)) "original value" (Datafile.fill idx) v
+    | Error exn -> Alcotest.fail ("read failed: " ^ Printexc.to_string exn)
+  in
+  read [| 0; 0 |];
+  let other = src ^ ".new" in
+  let f = Kondo_h5.File.open_file src in
+  let ds = Kondo_h5.File.find f p.Program.dataset in
+  Kondo_h5.File.close f;
+  Kondo_h5.Writer.write other [ (ds, fun idx -> -1.0 -. Datafile.fill idx) ];
+  Alcotest.(check int) "same length" (Unix.stat src).Unix.st_size (Unix.stat other).Unix.st_size;
+  Unix.rename other src;
+  (* every row of a 64x64 float64 array is 512 bytes: rows 8 apart are
+     in distinct blocks, none fetched yet *)
+  List.iter (fun i -> read [| i; 5 |]) [ 8; 16; 32; 63 ];
+  let cs = Client.stats client in
+  Alcotest.(check int) "no corrupt fetch" 0 cs.Client.corrupt_fetches;
+  Alcotest.(check int) "no retry" 0 cs.Client.retries;
+  Alcotest.(check int) "one block per distinct miss" 5 (Runtime.fetched_blocks rt);
+  Alcotest.(check int) "nothing degraded" 0 (Runtime.stats rt).Runtime.degraded_reads;
+  Runtime.shutdown rt;
+  Client.close client;
+  Sys.remove src
+
 let test_runtime_store_failure_falls_back_to_file () =
-  let p, src, img = build_hollow_image () in
+  let p, src, mounts = build_hollow () in
   let broken_calls = ref 0 in
   let broken =
     { Runtime.source_name = "broken";
@@ -1032,10 +1064,10 @@ let test_runtime_store_failure_falls_back_to_file () =
           Error (Fault.Transient "down")) }
   in
   (* with the file fallback: served, the store tried first *)
-  let file_client, file_source = remote_source img in
+  let file_client, file_source = remote_source ~mounts src in
   let store = Source.first [ broken; file_source ] in
   Alcotest.(check string) "order in the name" "broken, then remote" store.Runtime.source_name;
-  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtf") () in
+  let rt = Runtime.of_files ~store mounts in
   let v = Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] in
   Alcotest.(check (float 1e-9)) "file fallback value" (Datafile.fill [| 2; 3 |]) v;
   Alcotest.(check int) "store tried first" 1 !broken_calls;
@@ -1047,9 +1079,9 @@ let test_runtime_store_failure_falls_back_to_file () =
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
   let store_client = Client.connect conn in
-  let file_client, file_source = remote_source img in
-  let store = Source.first [ Source.of_client ~image:img store_client; file_source ] in
-  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rto") () in
+  let file_client, file_source = remote_source ~mounts src in
+  let store = Source.first [ Source.of_client ~mounts store_client; file_source ] in
+  let rt = Runtime.of_files ~store mounts in
   let v = Runtime.read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] in
   Alcotest.(check (float 1e-9)) "store value" (Datafile.fill [| 2; 3 |]) v;
   Alcotest.(check int) "served by the store" 1
@@ -1057,7 +1089,7 @@ let test_runtime_store_failure_falls_back_to_file () =
   Alcotest.(check int) "file source untouched" 0 (Client.stats file_client).Client.requests;
   Runtime.shutdown rt;
   (* without the file fallback: a structured degrade, not a crash *)
-  let rt = Runtime.boot ~store:broken ~image:img ~dir:(fresh_dir "kondo_rtg") () in
+  let rt = Runtime.of_files ~store:broken mounts in
   (match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] with
   | Error (Runtime.Degraded { cause = Fault.Transient "down"; _ }) -> ()
   | Ok _ -> Alcotest.fail "read served with no working source"
@@ -1070,18 +1102,18 @@ let test_runtime_store_failure_falls_back_to_file () =
    miss is a structured permanent degrade — not an escaping
    Invalid_argument, and not a value read from the wrong file. *)
 let test_smaller_same_named_file_degrades () =
-  let p, src, img = build_hollow_image () in
+  let p, src, mounts = build_hollow () in
   let small_src = Filename.temp_file "kondo_store_small" ".kh5" in
   Datafile.write_for ~path:small_src (Stencils.ldc2d ~n:8 ());
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~name:"small.kh5" small_src);
   let client = Client.connect conn in
-  let store = Source.of_client ~image:img client in
+  let store = Source.of_client ~mounts client in
   let permanent = function
     | Error (Fault.Permanent _) -> true
     | _ -> false
   in
-  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtsm") () in
+  let rt = Runtime.of_files ~store mounts in
   List.iter
     (fun idx ->
       match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset idx with
@@ -1095,11 +1127,25 @@ let test_smaller_same_named_file_degrades () =
   (* a range outside the manifest is an error value, not an exception *)
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~name:"full.kh5" src);
-  let store = Source.of_client ~image:img (Client.connect conn) in
+  let store = Source.of_client ~mounts (Client.connect conn) in
   Alcotest.(check bool) "past the end: permanent" true
     (permanent
        (store.Runtime.store_fetch ~dst:"/data" ~dataset:p.Program.dataset ~offset:(1 lsl 20)
           ~length:8));
+  (* a local file removed since the runtime opened it: the length check
+     cannot read its header, so the miss is a permanent degrade, not an
+     escaping Sys_error *)
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~name:"full.kh5" src);
+  let store = Source.of_client ~mounts (Client.connect conn) in
+  let rt = Runtime.of_files ~store mounts in
+  Sys.remove (List.assoc "/data" mounts);
+  (match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 0; 0 |] with
+  | Error (Runtime.Degraded { cause; _ }) ->
+    Alcotest.(check bool) "removed local file: permanent" true (permanent (Error cause))
+  | Ok _ -> Alcotest.fail "served without the length check"
+  | Error exn -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string exn));
+  Runtime.shutdown rt;
   Client.close client;
   Sys.remove small_src;
   Sys.remove src
@@ -1107,12 +1153,12 @@ let test_smaller_same_named_file_degrades () =
 (* A block is one default chunk, so a block fetch is one range GET. *)
 let test_block_is_one_chunk () =
   Alcotest.(check int) "Runtime.block_size" Chunk.default_size Runtime.block_size;
-  let p, src, img = build_hollow_image ~n:64 () in
+  let p, src, mounts = build_hollow ~n:64 () in
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
   let client = Client.connect conn in
-  let store = Source.of_client ~image:img client in
-  let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtb") () in
+  let store = Source.of_client ~mounts client in
+  let rt = Runtime.of_files ~store mounts in
   for _ = 1 to 2 do
     for i = 0 to 63 do
       for j = 0 to 63 do
@@ -1133,17 +1179,12 @@ let test_block_is_one_chunk () =
 
 (* A remote source that cannot be opened is named once in the error. *)
 let test_remote_open_error_names_path_once () =
-  let _, src, img = build_hollow_image () in
+  let _, src, mounts = build_hollow () in
   let dir = fresh_dir "kondo_rtd" in
   let missing = Filename.concat dir "missing.kh5" in
   List.iter
     (fun (path, reason) ->
-      let img =
-        { img with
-          Image.spec =
-            { img.Image.spec with Spec.data_deps = [ { Spec.src = path; dst = "/data" } ] } }
-      in
-      match Source.of_image img with
+      match Source.of_files ~mounts ~sources:[ ("/data", path) ] () with
       | Ok _ -> Alcotest.fail (path ^ " served")
       | Error msg ->
         Alcotest.(check string) path
@@ -1174,12 +1215,12 @@ let cache_counts (s : Cache.stats) =
     s.coalesced ]
 
 let test_one_scrape_tells_caches_apart () =
-  let p, src, img = build_hollow_image () in
+  let p, src, mounts = build_hollow () in
   (* two runtimes, as two runs would boot: the second one's overlay
      starts empty, so its misses reach the client again *)
   let read_twice store =
     for _ = 1 to 2 do
-      let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtc") () in
+      let rt = Runtime.of_files ~store mounts in
       for i = 0 to 15 do
         for j = 0 to 15 do
           Alcotest.(check (float 1e-9)) "served" (Datafile.fill [| i; j |])
@@ -1195,7 +1236,7 @@ let test_one_scrape_tells_caches_apart () =
   let client0 = cache_series "client" and server0 = cache_series "server" in
   let client_cache = Cache.create ~budget_bytes:65536 () in
   let client, remote =
-    match Source.of_image ~cache:client_cache img with Ok r -> r | Error e -> Alcotest.fail e
+    remote_source ~cache:client_cache ~mounts src
   in
   read_twice remote;
   let fetched = (Client.stats client).Client.fetched_chunks in
@@ -1208,7 +1249,7 @@ let test_one_scrape_tells_caches_apart () =
   let client0 = cache_series "client" and server0 = cache_series "server" in
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~chunk_size:128 ~name:(Filename.basename src) src);
-  read_twice (Source.of_client ~image:img (Client.connect conn));
+  read_twice (Source.of_client ~mounts (Client.connect conn));
   let server_cache = Cache.stats (Server.cache server) in
   Alcotest.(check (list int)) "server series: the server cache's counts"
     (cache_counts server_cache) (delta server0 "server");
@@ -1229,7 +1270,7 @@ let test_one_scrape_tells_caches_apart () =
 
 (* ---- Property: both sources serve every valuation's reads ---- *)
 
-(* A weakly debloated 32x32 CS1 or PRL2D image, built once per program:
+(* A weakly debloated 32x32 CS1 or PRL2D file, built once per program:
    a tiny fuzz budget leaves many in-truth offsets carved away. *)
 let weak_fixture =
   let build p =
@@ -1237,28 +1278,14 @@ let weak_fixture =
       (let src = Filename.temp_file "kondo_store_weak" ".kh5" in
        at_exit (fun () -> try Sys.remove src with Sys_error _ -> ());
        Datafile.write_for ~path:src p;
-       let spec =
-         { Spec.empty with
-           Spec.base = "scratch";
-           data_deps = [ { Spec.src; dst = "/data" } ];
-           param_space = p.Program.param_space }
-       in
-       let fetch path =
-         let ic = open_in_bin path in
-         let b = Bytes.create (in_channel_length ic) in
-         really_input ic b 0 (Bytes.length b);
-         close_in ic;
-         b
-       in
+       let deb = Filename.temp_file "kondo_store_weak_deb" ".kh5" in
+       at_exit (fun () -> try Sys.remove deb with Sys_error _ -> ());
        let weak =
          { Kondo_core.Config.default with
            Kondo_core.Config.seed = 3; max_iter = 8; stop_iter = 8; n_init = 2 }
        in
-       let img, _ =
-         Kondo_core.Pipeline.debloat_image ~config:weak p ~image:(Image.build spec ~fetch)
-           ~dst:"/data"
-       in
-       (p, src, img))
+       ignore (Kondo_core.Pipeline.debloat_file ~config:weak p ~src ~dst:deb);
+       (p, src, [ ("/data", deb) ]))
   in
   let cs1 = build (Stencils.cs ~n:32 1) and prl2d = build (Stencils.prl2d ~n:32 ()) in
   fun use_prl -> Lazy.force (if use_prl then prl2d else cs1)
@@ -1267,14 +1294,14 @@ let weak_fixture =
    with its own fresh plan: the file source ([--remote]) and a store
    client over the source file ([--remote-store]).  [ok] judges every
    read; [verdict] the runtime stats and client of each source. *)
-let check_sources ~plan (p, src, img) vs ~ok ~verdict =
+let check_sources ~plan (p, src, mounts) vs ~ok ~verdict =
   let retry = { Retry.default with Retry.max_attempts = 48; deadline_ms = 1e9 } in
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~name:(Filename.basename src) src);
   let store_client = Client.connect ~faults:(plan ()) ~retry conn in
   List.for_all
     (fun (client, store) ->
-      let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rtq") () in
+      let rt = Runtime.of_files ~store mounts in
       let good = ref true in
       List.iter
         (fun v ->
@@ -1287,8 +1314,8 @@ let check_sources ~plan (p, src, img) vs ~ok ~verdict =
       Runtime.shutdown rt;
       Client.close client;
       !good && verdict s client)
-    [ remote_source ~faults:(plan ()) ~retry img;
-      (store_client, Source.of_client ~image:img store_client) ]
+    [ remote_source ~faults:(plan ()) ~retry ~mounts src;
+      (store_client, Source.of_client ~mounts store_client) ]
 
 let valuation_gen = QCheck.(triple bool (int_bound 100_000) (int_bound 100_000))
 
@@ -1392,8 +1419,8 @@ let qcheck_series_sum_instances =
       && List.map2 ( - ) (series_values ()) before = expected)
 
 let test_runtime_stats_rendering () =
-  let _, src, img = build_hollow_image () in
-  let rt = Runtime.boot ~image:img ~dir:(fresh_dir "kondo_rtj") () in
+  let _, src, mounts = build_hollow () in
+  let rt = Runtime.of_files mounts in
   let s = Runtime.stats rt in
   let json = Runtime.stats_to_json ~extra:[ ("client_cache_hits", 3) ] s in
   Alcotest.(check bool) "json has stats fields" true
@@ -1495,7 +1522,7 @@ let test_unix_client_vanished_peer () =
 
 let suite =
   ( "store",
-    [ Alcotest.test_case "chunk split tiles and verifies" `Quick test_chunk_split_tiles;
+    [ Alcotest.test_case "chunk index tiles and verifies" `Quick test_chunk_index_tiles;
       Alcotest.test_case "chunk manifest roundtrips" `Quick test_chunk_manifest_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_chunk_offsets;
       Alcotest.test_case "proto request roundtrips" `Quick test_proto_request_roundtrip;
@@ -1544,6 +1571,8 @@ let suite =
         test_untraced_spans_count;
       Alcotest.test_case "remote batch over one source" `Quick
         test_remote_batch_over_one_source;
+      Alcotest.test_case "remote source replaced by rename serves the original" `Quick
+        test_remote_source_replaced_by_rename;
       Alcotest.test_case "store failure falls back to the file" `Quick
         test_runtime_store_failure_falls_back_to_file;
       Alcotest.test_case "smaller same-named store file degrades" `Quick
